@@ -77,18 +77,17 @@ def cmd_tmm(args) -> int:
         print(f"wrote {out / 'response.json'}")
         return 0
 
-    top_lo, top_hi = (float(v) for v in cfg["tmm"]["top_range_nm"])
-    bot_lo, bot_hi = (float(v) for v in cfg["tmm"]["bottom_range_nm"])
+    top = tuple(float(v) for v in cfg["tmm"]["top_range_nm"])
+    bottom = tuple(float(v) for v in cfg["tmm"]["bottom_range_nm"])
     step = float(cfg["tmm"]["step_nm"])
 
     if args.tmm_command == "map":
-        tops = np.append(np.arange(top_lo, top_hi, step), top_hi)
-        bottoms = np.append(np.arange(bot_lo, bot_hi, step), bot_hi)
-        grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis)
-        lines = ["t_top_nm,t_bottom_nm,a_bp"]
-        for i, t_top in enumerate(tops):
-            for j, t_bot in enumerate(bottoms):
-                lines.append(f"{t_top:.6g},{t_bot:.6g},{grid[i, j]:.10g}")
+        tops, bottoms = tmm.thickness_grid(*top, step), tmm.thickness_grid(*bottom, step)
+        error = np.empty((tops.size, bottoms.size))
+        grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis, conservation_error=error)
+        lines = ["t_top_nm,t_bottom_nm,a_bp"] + [
+            f"{t_top:.6g},{t_bot:.6g},{grid[i, j]:.10g}"
+            for i, t_top in enumerate(tops) for j, t_bot in enumerate(bottoms)]
         (out / "map.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         _write_json(out / "map_summary.json", {
@@ -96,13 +95,14 @@ def cmd_tmm(args) -> int:
             "best": {"t_top_nm": float(tops[i]), "t_bottom_nm": float(bottoms[j]),
                      "a_bp": float(grid[i, j])},
             "shape": [int(tops.size), int(bottoms.size)],
+            "max_conservation_error": float(error.max()),
         })
         print(f"wrote {out / 'map.csv'} ({tops.size}x{bottoms.size} cells)")
         return 0
 
     if args.tmm_command == "optimize":
-        opt = tmm.optimize_thicknesses(stack, (top_lo, top_hi), (bot_lo, bot_hi),
-                                       wavelength, axis, coarse_step_nm=step)
+        opt = tmm.optimize_thicknesses(stack, top, bottom, wavelength, axis,
+                                       coarse_step_nm=step)
         _write_json(out / "optimum.json", {
             "wavelength_nm": wavelength, "axis": axis,
             "t_top_nm": opt.top_nm, "t_bottom_nm": opt.bottom_nm,

@@ -21,11 +21,11 @@ AU_THICKNESS_NM = 40.0
 TI_THICKNESS_NM = 30.0
 SIO2_THICKNESS_NM = 285.0
 
-# Coarse-grid optimum of the armchair BP absorptance over 0-400 nm spacers
-# with the bundled tables; regenerate with `spdsim tmm optimize` after any
-# change to the data files.
-DEFAULT_TOP_HBN_NM = 348.0
-DEFAULT_BOTTOM_HBN_NM = 88.0
+# Best cell of the default 2 nm grid of armchair BP absorptance over 0-400 nm
+# spacers with the bundled tables; regenerate with `spdsim tmm map` after any
+# change to the data files (tests/test_tmm.py pins it).
+DEFAULT_TOP_HBN_NM = 354.0
+DEFAULT_BOTTOM_HBN_NM = 82.0
 
 
 def device_stack(top_hbn_nm: float = DEFAULT_TOP_HBN_NM,

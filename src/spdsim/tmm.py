@@ -7,10 +7,16 @@ Internally the complex index uses the exp(+i w t) sign convention
 (N = n - ik) so that k >= 0 media absorb; the public API keeps the physics
 convention n + ik from `materials`.
 
-Reflectance and transmittance come from the assembled stack matrix; the
-per-layer absorptance is the drop in time-averaged power flux across each
-layer's boundaries, obtained by propagating the (E, H) field pair down the
-stack. This partition conserves energy to rounding: R + T + sum(A) = 1.
+Reflectance and transmittance come from the product of the layer matrices
+applied to the exit admittance; the per-layer absorptance is the drop in
+time-averaged power flux across each layer's boundaries, obtained by
+propagating the (E, H) field pair down the stack. This partition conserves
+energy to rounding: R + T + sum(A) = 1.
+
+One kernel serves the point response, maps and the optimizer: it takes one
+thickness per layer, scalar or array, and evaluates every 2x2 product and
+flux element-wise, so a map (spacers as a column and a row) costs one pass
+over the layers (Byrnes, "Multilayer optical calculations", arXiv:1603.02720).
 
 The in-plane anisotropy of the absorber is handled as two decoupled scalar
 problems (armchair axis, zigzag axis), valid at normal incidence with the
@@ -88,21 +94,61 @@ class OpticalResponse:
         return 1.0 - (self.reflectance + self.transmittance + self.absorptance_total)
 
 
+def _layer_terms(material: MaterialDispersion, thickness_nm, wavelength_nm: float,
+                 axis: Polarization | str):
+    """(cos d, i sin d / eta, i eta sin d) of one layer, shaped like `thickness_nm`."""
+    eta = index_at(material, wavelength_nm, axis).conjugate()  # exp(+iwt): N = n - ik
+    delta = 2.0 * np.pi * eta * np.asarray(thickness_nm, dtype=float) / wavelength_nm
+    sin_d = np.sin(delta)
+    return np.cos(delta), 1j * sin_d / eta, 1j * eta * sin_d
+
+
 def characteristic_matrix(layer: Layer, wavelength_nm: float,
                           axis: Polarization | str = Polarization.ARMCHAIR) -> np.ndarray:
     """2x2 characteristic matrix of a single layer (unit determinant)."""
-    n_phys = index_at(layer.material, wavelength_nm, axis)
-    eta = n_phys.conjugate()  # exp(+iwt) convention: N = n - ik
-    delta = 2.0 * np.pi * eta * layer.thickness_nm / wavelength_nm
-    cos_d = np.cos(delta)
-    sin_d = np.sin(delta)
-    return np.array([[cos_d, 1j * sin_d / eta],
-                     [1j * eta * sin_d, cos_d]], dtype=complex)
+    cos_d, m01, m10 = _layer_terms(layer.material, layer.thickness_nm, wavelength_nm, axis)
+    return np.array([[cos_d, m01], [m10, cos_d]], dtype=complex)
 
 
-def _admittance(material: MaterialDispersion, wavelength_nm: float,
-                axis: Polarization | str) -> complex:
-    return index_at(material, wavelength_nm, axis).conjugate()
+def _transfer(stack: LayerStack, wavelength_nm: float, axis: Polarization,
+              thicknesses) -> tuple:
+    """(R, T, [A per layer]) broadcast over one thickness (scalar or array) per
+    layer; unpolarized light is the mean of both axes."""
+    if axis is Polarization.UNPOLARIZED:
+        ac = _transfer(stack, wavelength_nm, Polarization.ARMCHAIR, thicknesses)
+        zz = _transfer(stack, wavelength_nm, Polarization.ZIGZAG, thicknesses)
+        return (0.5 * (ac[0] + zz[0]), 0.5 * (ac[1] + zz[1]),
+                [0.5 * (a + z) for a, z in zip(ac[2], zz[2])])
+
+    eta_in = index_at(stack.incident, wavelength_nm, axis).conjugate()
+    if abs(eta_in.imag) > 1e-12:
+        raise ValueError(f"incident medium '{stack.incident.name}' must be lossless")
+    eta_in = eta_in.real
+    terms = [_layer_terms(lay.material, t, wavelength_nm, axis)
+             for lay, t in zip(stack.layers, thicknesses)]
+
+    # (b, c) = M_1 ... M_n (1, eta_exit), accumulated from the exit side up.
+    b, c = 1.0, index_at(stack.exit, wavelength_nm, axis).conjugate()
+    for cos_d, m01, m10 in reversed(terms):
+        b, c = cos_d * b + m01 * c, m10 * b + cos_d * c
+    r = (eta_in * b - c) / (eta_in * b + c)
+
+    # Propagate (E, H) from just below the top interface and take the flux
+    # drop across each layer. det(M) = 1, so the inverse is the adjugate.
+    e, h = 1.0 + r, eta_in * (1.0 - r)
+    flux_top = (e * np.conj(h)).real
+    absorptance = []
+    for cos_d, m01, m10 in terms:
+        e, h = cos_d * e - m01 * h, cos_d * h - m10 * e
+        flux_bottom = (e * np.conj(h)).real
+        absorptance.append((flux_top - flux_bottom) / eta_in)
+        flux_top = flux_bottom
+    return np.abs(r) ** 2, flux_top / eta_in, absorptance
+
+
+def _response(stack: LayerStack, wavelength_nm: float, axis: Polarization) -> OpticalResponse:
+    r, t, a = _transfer(stack, wavelength_nm, axis, [lay.thickness_nm for lay in stack.layers])
+    return OpticalResponse(float(r), float(t), np.array(a, dtype=float))
 
 
 def stack_response(stack: LayerStack, wavelength_nm: float,
@@ -116,47 +162,18 @@ def stack_response(stack: LayerStack, wavelength_nm: float,
     if axis is Polarization.UNPOLARIZED:
         raise ValueError("stack_response handles a single axis; "
                          "use unpolarized_absorption for the axis average")
-
-    eta_in = _admittance(stack.incident, wavelength_nm, axis)
-    if abs(eta_in.imag) > 1e-12:
-        raise ValueError(f"incident medium '{stack.incident.name}' must be lossless")
-    eta_in = eta_in.real
-    eta_exit = _admittance(stack.exit, wavelength_nm, axis)
-
-    matrices = [characteristic_matrix(lay, wavelength_nm, axis) for lay in stack.layers]
-    m_stack = np.eye(2, dtype=complex)
-    for m in matrices:
-        m_stack = m_stack @ m
-
-    b, c = m_stack @ np.array([1.0, eta_exit], dtype=complex)
-    denom = eta_in * b + c
-    r = (eta_in * b - c) / denom
-    reflectance = float(abs(r) ** 2)
-
-    # Propagate (E, H) from just below the top interface and take the flux
-    # drop across each layer. det(M) = 1, so the inverse is the adjugate.
-    e, h = 1.0 + r, eta_in * (1.0 - r)
-    flux_top = (e * np.conj(h)).real
-    absorptance = np.empty(len(matrices))
-    for j, m in enumerate(matrices):
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-        e, h = inv @ np.array([e, h])
-        flux_bottom = (e * np.conj(h)).real
-        absorptance[j] = (flux_top - flux_bottom) / eta_in
-        flux_top = flux_bottom
-    transmittance = float(flux_top / eta_in)
-    return OpticalResponse(reflectance, transmittance, absorptance)
+    return _response(stack, wavelength_nm, axis)
 
 
 def unpolarized_absorption(stack: LayerStack, wavelength_nm: float) -> OpticalResponse:
     """Component-wise mean of the armchair and zigzag responses."""
-    ac = stack_response(stack, wavelength_nm, Polarization.ARMCHAIR)
-    zz = stack_response(stack, wavelength_nm, Polarization.ZIGZAG)
-    return OpticalResponse(
-        0.5 * (ac.reflectance + zz.reflectance),
-        0.5 * (ac.transmittance + zz.transmittance),
-        0.5 * (ac.layer_absorptance + zz.layer_absorptance),
-    )
+    return _response(stack, wavelength_nm, Polarization.UNPOLARIZED)
+
+
+def thickness_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... then hi itself; a step point within rounding of hi is dropped."""
+    pts = np.arange(lo, hi, step)
+    return np.append(pts[hi - pts > 1e-9 * step], hi)
 
 
 def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:
@@ -169,32 +186,22 @@ def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:
     bottom = stack.find_layer("hbn", last=True)
     if top == bottom:
         raise ValueError("stack needs distinct top and bottom hBN layers to sweep")
-    absorber = None
-    for i, lay in enumerate(stack.layers):
-        if lay.material.is_anisotropic:
-            absorber = i
-            break
+    absorber = next((i for i, lay in enumerate(stack.layers) if lay.material.is_anisotropic),
+                    None)
     if absorber is None:
         absorber = stack.find_layer("bp")
     return top, bottom, absorber
 
 
-def _absorber_absorptance(stack: LayerStack, wavelength_nm: float,
-                          axis: Polarization, absorber: int) -> float:
-    if axis is Polarization.UNPOLARIZED:
-        resp = unpolarized_absorption(stack, wavelength_nm)
-    else:
-        resp = stack_response(stack, wavelength_nm, axis)
-    return float(resp.layer_absorptance[absorber])
-
-
 def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thicknesses_nm,
                    wavelength_nm: float, axis: Polarization | str = Polarization.ARMCHAIR,
-                   sweep_layers: tuple[int, int, int] | None = None) -> np.ndarray:
+                   sweep_layers: tuple[int, int, int] | None = None,
+                   conservation_error: np.ndarray | None = None) -> np.ndarray:
     """Absorber absorptance over a (top hBN, bottom hBN) thickness grid.
 
     Returns an array of shape (len(top), len(bottom)); rows follow the top
-    grid, columns the bottom grid. Cells are independent evaluations.
+    grid, columns the bottom grid. If `conservation_error` is an array of
+    that shape, it receives |1 - R - T - sum(A)| of every cell.
     """
     axis = Polarization(axis)
     tops = np.asarray(top_thicknesses_nm, dtype=float)
@@ -204,15 +211,16 @@ def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thickn
             raise ValueError(f"empty {label} thickness grid")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError(f"{label} thickness grid must be strictly increasing")
+        if grid[0] < 0:
+            raise ValueError(f"{label} thickness grid: negative thickness")
     i_top, i_bottom, i_abs = sweep_layers or locate_sweep_layers(stack_template)
 
-    out = np.empty((tops.size, bottoms.size))
-    for a, t_top in enumerate(tops):
-        stack_row = stack_template.with_thickness(i_top, t_top)
-        for b, t_bottom in enumerate(bottoms):
-            stack = stack_row.with_thickness(i_bottom, t_bottom)
-            out[a, b] = _absorber_absorptance(stack, wavelength_nm, axis, i_abs)
-    return out
+    thicknesses = [lay.thickness_nm for lay in stack_template.layers]
+    thicknesses[i_top], thicknesses[i_bottom] = tops[:, None], bottoms[None, :]
+    r, t, a = _transfer(stack_template, wavelength_nm, axis, thicknesses)
+    if conservation_error is not None:
+        conservation_error[...] = np.abs(1.0 - (r + t + sum(a)))
+    return np.broadcast_to(a[i_abs], (tops.size, bottoms.size)).copy()
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
@@ -258,37 +266,28 @@ def optimize_thicknesses(stack_template: LayerStack,
     for lo, hi in (top_bounds_nm, bottom_bounds_nm):
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < lo:
             raise ValueError("bounds must be finite, nonnegative and ordered")
-    layers_idx = sweep_layers or locate_sweep_layers(stack_template)
-    i_top, i_bottom, i_abs = layers_idx
+    i_top, i_bottom, i_abs = sweep_layers = sweep_layers or locate_sweep_layers(stack_template)
+    bounds = (top_bounds_nm, bottom_bounds_nm)
 
-    def grid(bounds):
-        lo, hi = bounds
-        if hi == lo:
-            return np.array([lo])
-        pts = np.arange(lo, hi, coarse_step_nm)
-        return np.append(pts, hi)
-
-    tops, bottoms = grid(top_bounds_nm), grid(bottom_bounds_nm)
-    coarse = absorption_map(stack_template, tops, bottoms, wavelength_nm, axis,
-                            sweep_layers=layers_idx)
+    tops, bottoms = (thickness_grid(lo, hi, coarse_step_nm) for lo, hi in bounds)
+    coarse = absorption_map(stack_template, tops, bottoms, wavelength_nm, axis, sweep_layers)
     a, b = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
-    best_top, best_bottom, best_val = float(tops[a]), float(bottoms[b]), float(coarse[a, b])
+    best, best_val = [float(tops[a]), float(bottoms[b])], float(coarse[a, b])
 
-    def evaluate(t_top, t_bottom):
-        stack = stack_template.with_thickness(i_top, t_top).with_thickness(i_bottom, t_bottom)
-        return _absorber_absorptance(stack, wavelength_nm, axis, i_abs)
+    thicknesses = [lay.thickness_nm for lay in stack_template.layers]
+
+    def evaluate(k, t):
+        point = list(best)
+        point[k] = t
+        thicknesses[i_top], thicknesses[i_bottom] = point
+        return float(_transfer(stack_template, wavelength_nm, axis, thicknesses)[2][i_abs])
 
     for _ in range(2):
-        lo = max(top_bounds_nm[0], best_top - coarse_step_nm)
-        hi = min(top_bounds_nm[1], best_top + coarse_step_nm)
-        if hi > lo:
-            x, fx = _golden_section(lambda t: evaluate(t, best_bottom), lo, hi, refine_tol_nm)
-            if fx > best_val:
-                best_top, best_val = x, fx
-        lo = max(bottom_bounds_nm[0], best_bottom - coarse_step_nm)
-        hi = min(bottom_bounds_nm[1], best_bottom + coarse_step_nm)
-        if hi > lo:
-            x, fx = _golden_section(lambda t: evaluate(best_top, t), lo, hi, refine_tol_nm)
-            if fx > best_val:
-                best_bottom, best_val = x, fx
-    return ThicknessOptimum(best_top, best_bottom, best_val)
+        for k, (lo_bound, hi_bound) in enumerate(bounds):
+            lo = max(lo_bound, best[k] - coarse_step_nm)
+            hi = min(hi_bound, best[k] + coarse_step_nm)
+            if hi > lo:
+                x, fx = _golden_section(lambda t: evaluate(k, t), lo, hi, refine_tol_nm)
+                if fx > best_val:
+                    best[k], best_val = x, fx
+    return ThicknessOptimum(best[0], best[1], best_val)

@@ -117,6 +117,20 @@ class TestCliTmm:
         optimum = json.loads((tmp_path / "opt" / "optimum.json").read_text())
         assert optimum["a_bp"] >= summary["best"]["a_bp"] - 1e-12
 
+    def test_map_reports_conservation_error(self, tmp_path):
+        assert run_cli("tmm", "map", "--config", write_cfg(tmp_path, {}),
+                       "--out", tmp_path / "m") == 0
+        summary = json.loads((tmp_path / "m" / "map_summary.json").read_text())
+        assert summary["shape"] == [201, 201]
+        assert 0.0 <= summary["max_conservation_error"] < 1e-9
+
+    @pytest.mark.parametrize("command", ["map", "optimize"])
+    def test_grid_whose_steps_land_on_the_upper_bound(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, {"tmm": {"top_range_nm": [1, 1.3],
+                                           "bottom_range_nm": [80, 84],
+                                           "step_nm": 0.1}})
+        assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 0
+
     def test_unpolarized_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, {"tmm": {"axis": "unpolarized"}})
         assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "u") == 0

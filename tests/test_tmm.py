@@ -2,12 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bounce_series_rt
 from spdsim import device, materials, tmm
 from spdsim.materials import MaterialDispersion, Polarization, index_at
 from spdsim.tmm import (Layer, LayerStack, absorption_map, characteristic_matrix,
-                        optimize_thicknesses, stack_response, unpolarized_absorption)
+                        optimize_thicknesses, stack_response, thickness_grid,
+                        unpolarized_absorption)
 
 
 def const(name, n, k=0.0):
@@ -204,6 +207,67 @@ class TestAbsorptionMap:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             absorption_map(device.device_stack(), [10.0, 5.0], [10.0], 1550.0)
+
+    def test_negative_grid_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            absorption_map(device.device_stack(), [-1.0, 5.0], [10.0], 1550.0)
+
+    @pytest.mark.parametrize("axis", ["armchair", "zigzag", "unpolarized"])
+    @pytest.mark.parametrize("anisotropic", [True, False])
+    def test_matches_per_cell_stack_response(self, axis, anisotropic):
+        rng = np.random.default_rng(7)
+        absorber = materials.bundled("bp") if anisotropic else const("abs", 3.2, 0.8)
+        for _ in range(4):
+            specs = [(rng.uniform(1, 4), rng.uniform(0, 0.5), rng.uniform(0, 300))
+                     for _ in range(3)]
+            layers = [Layer(const(f"m{i}", n, k), d) for i, (n, k, d) in enumerate(specs)]
+            layers.insert(1, Layer(absorber, rng.uniform(1, 30)))
+            stack = LayerStack(layers=tuple(layers),
+                               exit=const("exit", rng.uniform(1, 4), rng.uniform(0, 1)))
+            sweep = (0, 3, 1)  # explicit: no layer is named hbn
+            tops, bottoms = rng.uniform(0, 400, 5).cumsum(), rng.uniform(0, 200, 4).cumsum()
+            grid = absorption_map(stack, tops, bottoms, 1550.0, axis, sweep_layers=sweep)
+            for a, t_top in enumerate(tops):
+                for b, t_bottom in enumerate(bottoms):
+                    cell = stack.with_thickness(0, t_top).with_thickness(3, t_bottom)
+                    resp = (unpolarized_absorption(cell, 1550.0) if axis == "unpolarized"
+                            else stack_response(cell, 1550.0, axis))
+                    assert grid[a, b] == pytest.approx(resp.layer_absorptance[1], abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 500.0)),
+                    min_size=2, max_size=6),
+           st.floats(1.0, 4.0), st.floats(0.0, 1.0),
+           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=5, unique=True),
+           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=5, unique=True))
+    def test_energy_conservation_property(self, specs, n_exit, k_exit, tops, bottoms):
+        stack = simple_stack(specs, n_exit, k_exit)
+        error = np.empty((len(tops), len(bottoms)))
+        absorption_map(stack, sorted(tops), sorted(bottoms), 1550.0,
+                       sweep_layers=(0, len(specs) - 1, 0), conservation_error=error)
+        assert error.max() < 1e-9
+
+    def test_default_spacers_are_the_default_map_optimum(self):
+        grid = thickness_grid(0.0, 400.0, 2.0)
+        a_bp = absorption_map(device.device_stack(), grid, grid, 1550.0, "armchair")
+        a, b = np.unravel_index(int(np.argmax(a_bp)), a_bp.shape)
+        assert (grid[a], grid[b]) == (device.DEFAULT_TOP_HBN_NM, device.DEFAULT_BOTTOM_HBN_NM)
+
+
+class TestThicknessGrid:
+    def test_default_grid_keeps_its_201_values(self):
+        np.testing.assert_array_equal(thickness_grid(0.0, 400.0, 2.0),
+                                      np.append(np.arange(0.0, 400.0, 2.0), 400.0))
+
+    def test_step_point_at_the_upper_bound_is_not_repeated(self):
+        # np.arange(1, 1.3, 0.1) already ends within rounding of 1.3
+        grid = thickness_grid(1.0, 1.3, 0.1)
+        assert grid.size == 4 and grid[-1] == 1.3
+        assert np.all(np.diff(grid) > 0)
+
+    def test_collapsed_and_coarse_ranges(self):
+        np.testing.assert_array_equal(thickness_grid(5.0, 5.0, 2.0), [5.0])
+        np.testing.assert_array_equal(thickness_grid(0.0, 1.0, 5.0), [0.0, 1.0])
 
 
 class TestOptimize:
