@@ -256,19 +256,21 @@ def cmd_analyze(args) -> int:
             raise SystemExit("analyze sweep: --runs DIR is required")
         runs_root = Path(args.runs)
         points = []
-        n_bars = set()
-        duration = None
+        n_bars, durations = set(), set()
         for run_dir in sorted(p for p in runs_root.iterdir() if p.is_dir()):
             manifest = _read_manifest(run_dir)
             src = manifest["source"]
             points.append((float(src["repetition_rate_hz"]), _run_detections(run_dir)))
             n_bars.add(round(float(src["mean_photons"]), 12))
-            duration = float(manifest["duration_s"])
+            durations.add(round(float(manifest["duration_s"]), 12))
         if not points:
             raise SystemExit(f"analyze sweep: no run directories under {runs_root}")
         if len(n_bars) != 1:
             raise SystemExit(f"analyze sweep: runs disagree on mean_photons: {sorted(n_bars)}")
-        fit = analysis.eqe_from_frequency_sweep(points, n_bars.pop(), duration)
+        if len(durations) != 1:
+            raise SystemExit(f"analyze sweep: run durations differ: {sorted(durations)} s; "
+                             "the slope needs equal exposure")
+        fit = analysis.eqe_from_frequency_sweep(points, n_bars.pop(), durations.pop())
         _write_json(out / "fit.json", {
             "points": [{"repetition_rate_hz": f, "counts": c} for f, c in points],
             "slope_counts_per_hz": fit.slope,

@@ -8,6 +8,7 @@ manifests so any output can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -53,28 +54,12 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "relative_uncertainty": 0.05,
         "post_tap_chain": [],
     },
-    "detector": {
-        "absorptance_from_stack": False,
-        "absorptance_armchair": 0.537,
-        "absorptance_zigzag": 0.0054,
-        "iqe": 0.79,
-        "dark_rate_hz": 720.0,
-        "fall_time_us": 2.3,
-        "rise_time_us": 2.1,
-        "hold_time_mean_us": 10.0,
-        "dead_time_us": 50.0,
-        "max_occupancy": 4,
-        "step_amplitude_v": 1.0,
-        "noise_sigma_v": 0.05,
-        "baseline_v": 0.0,
-    },
+    "detector": {"absorptance_from_stack": False, **dataclasses.asdict(DetectorParams())},
     "analysis": {
         "threshold_v": 0.5,
         "hysteresis_v": 0.2,
         "min_width_us": 1.0,
         "baseline_window_s": 0.01,
-        "bin_width_v": 0.025,
-        "prominence_fraction": 0.05,
     },
     "tmm": {
         "wavelength_nm": device.DESIGN_WAVELENGTH_NM,
@@ -180,7 +165,6 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cfg["analysis"]["threshold_v"] > cfg["analysis"]["hysteresis_v"],
              "analysis.threshold_v", "must exceed analysis.hysteresis_v")
     _number(cfg, "analysis.min_width_us", minimum=0.0)
-    _number(cfg, "analysis.bin_width_v", positive=True)
 
     _number(cfg, "tmm.wavelength_nm", positive=True)
     _require(cfg["tmm"]["axis"] in ("armchair", "zigzag", "unpolarized"),
@@ -199,6 +183,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              "run.seed", "must be an integer")
 
+    _number(cfg, "calibration.relative_uncertainty", minimum=0.0)
     cal = cfg["calibration"]
     if cal["power_tap_watts"] is not None:
         _number(cfg, "calibration.power_tap_watts", minimum=0.0)

@@ -2,12 +2,15 @@
 
 The cycle is modeled phenomenologically: a pulse delivers a Poisson number
 of photons; each photon is absorbed with the polarization-appropriate
-absorptance and the resulting electron is captured with probability `iqe`
-provided the island has a free slot (occupancy below `max_occupancy`) and
-the readout is not inside its non-paralyzable dead time. Dark captures
-arrive as an independent homogeneous Poisson process. Every captured
-electron holds for an exponential dwell time and is then pulled out again
-(auto-reset), decrementing the occupancy.
+absorptance and the resulting electron is captured with probability `iqe`.
+By Poisson thinning the captured count per pulse is Poisson(n_bar * A * iqe),
+so `simulate` draws the run's total and places it uniformly on the pulses:
+memory grows with candidate captures, not with pulses. Dark captures arrive
+as an independent homogeneous Poisson process. One walk (`_accept`, shared
+with `apply_dead_time`) accepts a candidate when the readout is past its
+non-paralyzable dead time and the island has a free slot (occupancy below
+`max_occupancy`). Every captured electron holds for an exponential dwell
+time and is then pulled out again (auto-reset), decrementing the occupancy.
 
 Captured electrons from the same pulse share one timestamp; the counting
 electronics register them as a single detection, so `EventRecord`
@@ -40,11 +43,16 @@ ORIGIN_DARK = "dark"
 class DetectorParams:
     """Phenomenological detector parameters.
 
-    Absorptances normally come from the tmm module; `iqe` is the capture
-    probability per absorbed photon. `dead_time_us` and `hold_time_mean_us`
-    are fitted, not measured, quantities: the defaults reproduce the
-    observed ~20 kHz count-rate saturation and the microsecond-scale pulse
-    widths of the output traces.
+    `iqe` is the capture probability per absorbed photon. The absorptance
+    defaults (0.537 armchair, 0.0054 zigzag) are the paper's values: with
+    `iqe` 0.79 they give its unpolarized EQE, 0.5 * (0.537 + 0.0054) * 0.79
+    = 0.2142. They are not what the tmm module gives for the bundled stack
+    (0.5252 / 0.0067 at the default spacers); the config key
+    `detector.absorptance_from_stack` uses those instead. `dead_time_us` and
+    `hold_time_mean_us` are fitted, not measured, quantities: the defaults
+    reproduce the observed ~20 kHz count-rate saturation and the
+    microsecond-scale pulse widths of the output traces. These defaults are
+    also the config defaults.
     """
 
     absorptance_armchair: float = 0.537
@@ -133,6 +141,32 @@ class EventRecord:
         return times[order], np.cumsum(steps[order])
 
 
+def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
+            max_occupancy: float) -> list[int]:
+    """Indices of the sorted candidate `times` that become captures.
+
+    A candidate is accepted when it is at least `dead_time_us` after the last
+    accepted one and fewer than `max_occupancy` accepted candidates still
+    hold a slot; candidate i holds one until times[i] + dwells[i]. Only
+    accepted candidates and those a full island blocks are visited.
+    """
+    after = np.searchsorted(times, times + dead_time_us)
+    kept: list[int] = []
+    pending: list[float] = []
+    i, n = 0, times.size
+    while i < n:
+        t = float(times[i])
+        while pending and pending[0] <= t:
+            heapq.heappop(pending)
+        if len(pending) < max_occupancy:
+            kept.append(i)
+            heapq.heappush(pending, t + float(dwells[i]))
+            i = max(int(after[i]), i + 1)
+        else:
+            i += 1
+    return kept
+
+
 def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: float,
              seed: int | np.random.SeedSequence) -> EventRecord:
     """Run one detection-cycle trial; deterministic for a given seed.
@@ -150,48 +184,23 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     pulse_period_us = 1e6 / f
 
     n_pulses = int(math.floor(duration_s * f - 1e-9)) + 1
-    photons = rng.poisson(source.mean_photons, size=n_pulses)
-    hit = np.nonzero(photons)[0]
-    absorbed = rng.binomial(photons[hit], params.absorptance(source.polarization))
-    captured = rng.binomial(absorbed, params.iqe)
-    keep = captured > 0
-    photon_times = np.repeat(hit[keep] * pulse_period_us, captured[keep])
+    mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
+    pulses = np.sort(rng.integers(0, n_pulses, size=rng.poisson(mu * n_pulses)))
+    photon_times = pulses * pulse_period_us
 
     n_dark = rng.poisson(params.dark_rate_hz * duration_s)
     dark_times = np.sort(rng.uniform(0.0, duration_us, size=n_dark))
 
     cand_times = np.concatenate([photon_times, dark_times])
-    cand_is_dark = np.concatenate([np.zeros(photon_times.size, dtype=bool),
-                                   np.ones(n_dark, dtype=bool)])
     order = np.argsort(cand_times, kind="stable")
     cand_times = cand_times[order]
-    cand_is_dark = cand_is_dark[order]
     dwells = rng.exponential(params.hold_time_mean_us, size=cand_times.size)
 
-    captures: list[float] = []
-    releases: list[float] = []
-    origins: list[str] = []
-    pending: list[float] = []
-    occupancy = 0
-    dead_until = -math.inf
-    dead_time = params.dead_time_us
-    max_occ = params.max_occupancy
-    for i in range(cand_times.size):
-        t = cand_times[i]
-        while pending and pending[0] <= t:
-            heapq.heappop(pending)
-            occupancy -= 1
-        if t >= dead_until and occupancy < max_occ:
-            occupancy += 1
-            release = t + dwells[i]
-            heapq.heappush(pending, release)
-            captures.append(t)
-            releases.append(release)
-            origins.append(ORIGIN_DARK if cand_is_dark[i] else ORIGIN_PHOTON)
-            if dead_time > 0:
-                dead_until = t + dead_time
-    return EventRecord(np.array(captures), np.array(releases),
-                       np.array(origins, dtype="U6") if origins else np.empty(0, dtype="U6"))
+    kept = np.array(_accept(cand_times, dwells, params.dead_time_us, params.max_occupancy),
+                    dtype=np.intp)
+    captures = cand_times[kept]
+    origins = np.where(order[kept] < photon_times.size, ORIGIN_PHOTON, ORIGIN_DARK)
+    return EventRecord(captures, captures + dwells[kept], origins)
 
 
 def simulate_trials(params: DetectorParams, source: CoherentPulseTrain, duration_s: float,
@@ -208,15 +217,7 @@ def apply_dead_time(capture_times_us: np.ndarray, dead_time_us: float) -> np.nda
         raise ValueError("capture times must be sorted")
     if dead_time_us < 0:
         raise ValueError("dead time must be nonnegative")
-    if dead_time_us == 0 or times.size == 0:
-        return times.copy()
-    kept = []
-    next_ok = -math.inf
-    for t in times:
-        if t >= next_ok:
-            kept.append(t)
-            next_ok = t + dead_time_us
-    return np.array(kept)
+    return times[_accept(times, np.zeros(times.size), dead_time_us, 1)]
 
 
 @dataclass

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 # CODATA: h is exact in SI since 2019; c is exact by definition.
 PLANCK_H = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
@@ -256,9 +254,3 @@ def calibrate_flux(reading: PowerReading, tap_fraction: float,
     power_device = reading.mean_power_watts * (1.0 - tap_fraction) / tap_fraction * chain_factor
     n_bar = mean_photons_from_power(power_device, wavelength_nm, repetition_rate_hz)
     return CalibrationResult(n_bar, n_bar * reading.relative_uncertainty, power_device)
-
-
-def sample_photon_numbers(train: CoherentPulseTrain, n_pulses: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Draw per-pulse photon numbers; the caller owns the random stream."""
-    return rng.poisson(train.mean_photons, size=int(n_pulses))

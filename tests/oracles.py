@@ -9,6 +9,7 @@ transmission amplitudes only.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -82,3 +83,28 @@ def match_events(true_times: np.ndarray, found_times: np.ndarray,
                 matched += 1
                 break
     return matched
+
+
+def accept_loop(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
+                max_occupancy: float) -> list[int]:
+    """Accepted candidate indices by visiting every candidate in time order.
+
+    Non-paralyzable dead time after each accepted candidate; an accepted
+    candidate holds one of `max_occupancy` slots until times[i] + dwells[i].
+    """
+    kept: list[int] = []
+    pending: list[float] = []
+    occupancy = 0
+    dead_until = -math.inf
+    for i in range(times.size):
+        t = times[i]
+        while pending and pending[0] <= t:
+            heapq.heappop(pending)
+            occupancy -= 1
+        if t >= dead_until and occupancy < max_occupancy:
+            occupancy += 1
+            heapq.heappush(pending, t + dwells[i])
+            kept.append(i)
+            if dead_time_us > 0:
+                dead_until = t + dead_time_us
+    return kept

@@ -6,6 +6,12 @@ import yaml
 
 from spdsim import cli, config as cfgmod, detsim
 from spdsim.config import ConfigError, build_chain, build_detector, build_source, build_stack, load_config
+from spdsim.detsim import DetectorParams
+from spdsim.source import PulsePolarization
+
+DEFAULT_PARAMS = DetectorParams()
+# EQE of the default detector for unpolarized light: absorptance times iqe.
+DEFAULT_EQE = DEFAULT_PARAMS.absorptance(PulsePolarization.unpolarized()) * DEFAULT_PARAMS.iqe
 
 
 def run_cli(*argv):
@@ -55,8 +61,23 @@ class TestConfig:
     def test_absorptance_from_stack(self):
         cfg = load_config(overrides={"detector": {"absorptance_from_stack": True}})
         params = build_detector(cfg)
-        assert 0.40 <= params.absorptance_armchair <= 0.65
-        assert params.absorptance_zigzag < 0.05
+        # The bundled stack at the default spacers, not the paper's defaults.
+        assert params.absorptance_armchair == pytest.approx(0.5252, abs=5e-5)
+        assert params.absorptance_zigzag == pytest.approx(0.0067, abs=5e-5)
+
+    def test_detector_defaults_are_the_dataclass_and_the_paper_eqe(self):
+        assert build_detector(load_config()) == DEFAULT_PARAMS
+        assert DEFAULT_EQE == pytest.approx(0.2142, abs=5e-5)
+
+    @pytest.mark.parametrize("key", ["bin_width_v", "prominence_fraction"])
+    def test_unread_analysis_keys_are_gone(self, key):
+        with pytest.raises(ConfigError, match=f"analysis.{key}: unknown"):
+            load_config(overrides={"analysis": {key: 0.05}})
+
+    @pytest.mark.parametrize("value", [None, "5%", -0.1])
+    def test_relative_uncertainty_validated(self, value):
+        with pytest.raises(ConfigError, match="calibration.relative_uncertainty"):
+            load_config(overrides={"calibration": {"relative_uncertainty": value}})
 
     def test_stack_material_from_file_path(self, tmp_path):
         disp = tmp_path / "custom.csv"
@@ -228,9 +249,7 @@ class TestCliAnalyze:
         assert len(lines) == 2
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
-        # defaults: unpolarized absorptance (0.537+0.0054)/2, iqe 0.79
-        true_eqe = 0.5 * (0.537 + 0.0054) * 0.79
-        assert float(row["eqe"]) == pytest.approx(true_eqe, abs=4 * float(row["eqe_sigma"]))
+        assert float(row["eqe"]) == pytest.approx(DEFAULT_EQE, abs=4 * float(row["eqe_sigma"]))
 
     def test_sweep_pipeline(self, tmp_path):
         sweeps = tmp_path / "sweeps"
@@ -247,15 +266,26 @@ class TestCliAnalyze:
         assert run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}, "base.yaml"),
                        "--runs", sweeps, "--out", ana) == 0
         fit = json.loads((ana / "fit.json").read_text())
-        true_eqe = 0.5 * (0.537 + 0.0054) * 0.79
-        p_detect = 1 - np.exp(-n_bar * true_eqe)
+        p_detect = 1 - np.exp(-n_bar * DEFAULT_EQE)
         # The fit's own residual sigma has only 2 degrees of freedom with 4
         # rates, so a 4-sigma bound on it misses for ~6% of seeds. The slope
         # sigma implied by the Poisson variance of the expected counts does not.
-        expected = duration * (rates * p_detect + 720.0)
+        expected = duration * (rates * p_detect + DEFAULT_PARAMS.dark_rate_hz)
         sxx = np.sum((rates - rates.mean()) ** 2)
         sigma = np.sqrt(np.sum((rates - rates.mean()) ** 2 * expected)) / sxx / (n_bar * duration)
         assert fit["eqe_from_slope"] == pytest.approx(p_detect / n_bar, abs=4 * sigma)
+
+    def test_sweep_rejects_mismatched_durations(self, tmp_path):
+        sweeps = tmp_path / "sweeps"
+        for i, (f, duration) in enumerate(((1e3, 1.0), (2e3, 1.0), (5e3, 0.25))):
+            cfg = write_cfg(tmp_path, {
+                "source": {"mean_photons": 0.2, "repetition_rate_hz": f},
+                "run": {"duration_s": duration, "trace_duration_s": 0.001},
+            }, name=f"cfg{i}.yaml")
+            assert run_cli("simulate", "--config", cfg, "--out", sweeps / f"f{i}") == 0
+        with pytest.raises(SystemExit, match="durations differ"):
+            run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}, "base.yaml"),
+                    "--runs", sweeps, "--out", tmp_path / "ana")
 
     def test_counts_requires_pairs(self, tmp_path):
         cfg = simulate_cfg(tmp_path)

@@ -1,15 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import per_pulse_detection_probability
+from oracles import accept_loop, per_pulse_detection_probability
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, apply_dead_time, read_events_csv,
                            read_trace, simulate, simulate_trials, synthesize_trace,
                            write_events_csv, write_trace)
-from spdsim.source import CoherentPulseTrain, PulsePolarization
+from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, Polarizer,
+                           PulsePolarization, Splitter, apply_chain)
 
 
 def train(n_bar, f=1e4, polarization=PulsePolarization.unpolarized()):
@@ -135,6 +139,55 @@ class TestSimulate:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             simulate(ideal_params(), train(0.1), 0.0, seed=1)
+
+    def test_captures_per_pulse_stay_poisson_after_chain(self):
+        # Thinning a Poisson photon number by a chain, the absorptance and
+        # the iqe leaves a Poisson capture count with the product mean.
+        chain = OpticalChain((Polarizer(30.0), Attenuator(0.5), Splitter(0.4)))
+        source = apply_chain(CoherentPulseTrain(1550.0, 1e6, 9.0,
+                                                PulsePolarization.armchair()), chain)
+        params = DetectorParams(dark_rate_hz=0.0, dead_time_us=0.0, max_occupancy=10 ** 9)
+        record = simulate(params, source, 1.0, seed=2024)
+        n_pulses = 1_000_000
+        per_pulse = np.bincount(np.rint(record.capture_times_us).astype(int),
+                                minlength=n_pulses)
+        assert per_pulse.size == n_pulses
+        mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
+        assert abs(per_pulse.mean() - mu) < 4 * math.sqrt(mu / n_pulses)
+        assert 0.99 <= per_pulse.var() / per_pulse.mean() <= 1.01
+
+    def test_memory_follows_candidates_not_pulses(self):
+        # 6e10 pulses at 1 GHz for 60 s; a per-pulse array would need ~480 GB.
+        params = DetectorParams(dead_time_us=0.0)
+        start = time.perf_counter()
+        record = simulate(params, train(0.0, f=1e9), 60.0, seed=4)
+        assert time.perf_counter() - start < 10.0
+        assert abs(record.n_captures - 43_200) < 4 * math.sqrt(43_200)
+        assert set(record.origins) == {"dark"}
+
+
+@st.composite
+def candidate_sets(draw):
+    """Sorted candidate times on a coarse grid (so ties occur) and their dwells."""
+    ticks = sorted(draw(st.lists(st.integers(0, 120), max_size=60)))
+    dwells = draw(st.lists(st.floats(0.0, 40.0), min_size=len(ticks),
+                           max_size=len(ticks)))
+    return np.array(ticks) * 0.5, np.array(dwells, dtype=float)
+
+
+class TestAcceptWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(candidate_sets(),
+           st.one_of(st.just(0.0), st.integers(0, 100).map(lambda k: 0.5 * k),
+                     st.floats(0.0, 50.0)),
+           st.one_of(st.integers(1, 5), st.just(1000), st.just(math.inf)))
+    def test_matches_per_candidate_loop(self, candidates, dead_time_us, max_occupancy):
+        times, dwells = candidates
+        assert (detsim._accept(times, dwells, dead_time_us, max_occupancy)
+                == accept_loop(times, dwells, dead_time_us, max_occupancy))
+        assert np.array_equal(apply_dead_time(times, dead_time_us),
+                              times[accept_loop(times, np.zeros(times.size),
+                                                dead_time_us, 1)])
 
 
 class TestApplyDeadTime:

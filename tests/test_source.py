@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from oracles import multi_photon_series, poisson_pmf_series
@@ -8,8 +7,7 @@ from spdsim.source import (Attenuator, CoherentPulseTrain, MultimodeFiber, Optic
                            Polarizer, PowerReading, PulsePolarization, Splitter,
                            apply_chain, calibrate_flux, chain_transmittance,
                            mean_photons_from_power, multi_photon_probability,
-                           photon_energy_joules, poisson_pmf, power_from_mean_photons,
-                           sample_photon_numbers)
+                           photon_energy_joules, poisson_pmf, power_from_mean_photons)
 
 
 class TestPoissonPmf:
@@ -181,23 +179,3 @@ class TestCalibration:
             calibrate_flux(PowerReading(1e-9), 0.0, OpticalChain(()), 1550.0, 1e4)
         with pytest.raises(ValueError):
             calibrate_flux(PowerReading(1e-9), 1.0, OpticalChain(()), 1550.0, 1e4)
-
-
-class TestPoissonPreservation:
-    def test_sampling_after_chain_stays_poisson(self):
-        chain = OpticalChain((Polarizer(30.0), Attenuator(0.11), Splitter(0.4)))
-        train = apply_chain(CoherentPulseTrain(1550.0, 1e4, 9.0,
-                                               PulsePolarization.armchair()), chain)
-        rng = np.random.default_rng(2024)
-        n = 1_000_000
-        draws = sample_photon_numbers(train, n, rng)
-        n_bar = train.mean_photons
-        sigma_mean = math.sqrt(n_bar / n)
-        assert abs(draws.mean() - n_bar) < 4 * sigma_mean
-        dispersion = draws.var() / draws.mean()
-        assert 0.99 <= dispersion <= 1.01
-
-    def test_vacuum_train(self):
-        train = CoherentPulseTrain(1550.0, 1e4, 0.0)
-        draws = sample_photon_numbers(train, 1000, np.random.default_rng(1))
-        assert not draws.any()
