@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, stats
 
 from .detsim import EventRecord, TimeTrace
 
@@ -59,8 +58,8 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     """
     if not (threshold_v > hysteresis_v > 0):
         raise ValueError("need threshold > hysteresis > 0")
-    baseline = estimate_baseline(trace, baseline_window_s)
-    rel = trace.samples - baseline
+    rel = estimate_baseline(trace, baseline_window_s)
+    np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
 
     below = rel < -threshold_v
     above = rel > -(threshold_v - hysteresis_v)
@@ -111,6 +110,9 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
     the tallest bin. Levels are returned in descending voltage, so the first
     one corresponds to the empty island.
     """
+    # Imported here, not at module level: scipy.signal takes ~1 s to import.
+    from scipy.signal import find_peaks
+
     if bin_width_v <= 0:
         raise ValueError("bin width must be positive")
     samples = trace.samples
@@ -123,7 +125,7 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
     edges = np.arange(lo - 2 * bin_width_v, hi + 3 * bin_width_v, bin_width_v)
     counts, edges = np.histogram(samples, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    peaks, _ = signal.find_peaks(counts, prominence=prominence_fraction * counts.max())
+    peaks, _ = find_peaks(counts, prominence=prominence_fraction * counts.max())
     levels = centers[peaks]
     order = np.argsort(levels)[::-1]
     return HistogramResult(counts, centers, levels[order])
@@ -142,10 +144,14 @@ class RateEstimate:
 def count_rate(events, duration_s: float, window_s: float | None = None) -> RateEstimate:
     """Event rate with Poisson sigma; N can be a count, times, or an EventRecord.
 
-    The one-sided 95% upper bound is the exact Poisson limit (3/duration for
-    zero observed events). With `window_s`, per-window sub-rates are attached
+    The one-sided 95% upper bound is the exact Poisson limit (Gehrels, ApJ
+    303, 336, 1986), the 95% quantile of Gamma(n + 1): about 3/duration for
+    zero observed events. With `window_s`, per-window sub-rates are attached
     for stationarity checks.
     """
+    # Imported here, not at module level: no CLI command should pay for scipy.
+    from scipy.special import gammaincinv
+
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     times = None
@@ -161,7 +167,7 @@ def count_rate(events, duration_s: float, window_s: float | None = None) -> Rate
         n = times.size
     rate = n / duration_s
     sigma = math.sqrt(n) / duration_s
-    upper95 = 0.5 * stats.chi2.ppf(0.95, 2 * (n + 1)) / duration_s
+    upper95 = gammaincinv(n + 1, 0.95) / duration_s
     window_rates = None
     if window_s is not None:
         if times is None:

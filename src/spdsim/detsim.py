@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,6 +248,14 @@ class TimeTrace:
         return np.arange(self.n_samples) * (1e6 / self.sample_rate_hz)
 
 
+def _physical_memory_bytes() -> int | None:
+    """Total physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _edge_tau_us(edge_time_us: float) -> float:
     # Single-exponential edges; tau = t_edge / ln 9 makes the 10-90% span
     # equal the configured edge time exactly.
@@ -259,10 +268,19 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
 
     Level = baseline - step_amplitude * occupancy, with exponential edges on
     every transition (superposed, so overlapping events stack) plus white
-    Gaussian noise.
+    Gaussian noise. At most two float64 arrays of the trace's length are
+    alive at once; a trace whose two arrays exceed the machine's physical
+    memory is rejected before anything is allocated.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
+    n = int(round(duration_s * sample_rate_hz))
+    need = 2 * 8 * n
+    memory = _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz) needs "
+            f"{need} bytes of float64 buffers; this machine has {memory} bytes")
     for edge in (params.fall_time_us, params.rise_time_us):
         if edge > 0 and sample_rate_hz < 10.0 / (edge * 1e-6):
             raise ValueError(
@@ -270,7 +288,6 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
                 f"{edge:g} us edge (need >= {10.0 / (edge * 1e-6):g} Hz)")
 
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate_hz))
     dt_us = 1e6 / sample_rate_hz
     step = params.step_amplitude_v
 
@@ -281,8 +298,10 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
         idx = np.ceil(times / dt_us - 1e-12).astype(int)
         idx = idx[(idx >= 0) & (idx < n)]
         np.add.at(jump, idx, sign)
-    occupancy = np.cumsum(jump[:n])
-    level = params.baseline_v - step * occupancy
+    level = np.cumsum(jump[:n])  # occupancy, turned into volts in place
+    del jump
+    level *= -step
+    level += params.baseline_v
 
     # Exponential transients restore continuity at each transition and decay
     # toward the new level. Windows are truncated once exp < 1e-12.
@@ -301,7 +320,7 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
             level[start:stop] += sign * step * np.exp(-rel_t / tau)
 
     if params.noise_sigma_v > 0:
-        level = level + rng.normal(0.0, params.noise_sigma_v, size=n)
+        level += rng.normal(0.0, params.noise_sigma_v, size=n)
     return TimeTrace(sample_rate_hz, params.baseline_v, level)
 
 
@@ -369,7 +388,7 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
     base = Path(base_path)
     bin_path = base.with_suffix(".f64")
     meta_path = base.with_suffix(".json")
-    bin_path.write_bytes(np.ascontiguousarray(trace.samples, dtype="<f8").tobytes())
+    trace.samples.astype("<f8", copy=False).tofile(bin_path)
     meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
             "duration": trace.duration_s, "n_samples": trace.n_samples}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -379,7 +398,8 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
 def read_trace(base_path: str | Path) -> TimeTrace:
     base = Path(base_path)
     meta = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    samples = np.frombuffer(base.with_suffix(".f64").read_bytes(), dtype="<f8")
-    if samples.size != meta["n_samples"]:
+    bin_path = base.with_suffix(".f64")
+    if bin_path.stat().st_size != 8 * meta["n_samples"]:
         raise ValueError(f"{base}: sample count does not match sidecar")
-    return TimeTrace(meta["sample_rate"], meta["baseline"], samples.astype(float))
+    samples = np.fromfile(bin_path, dtype="<f8")
+    return TimeTrace(meta["sample_rate"], meta["baseline"], samples.astype(float, copy=False))

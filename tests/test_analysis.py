@@ -118,6 +118,12 @@ class TestCountRate:
         assert result.rate_hz == 0.0
         assert result.upper95_hz == pytest.approx(3.0 / 10.0, rel=2e-3)
 
+    @pytest.mark.parametrize("n", [0, 1, 10, 1000])
+    def test_upper_bound_is_the_chi2_form_exactly(self, n):
+        # Gamma(n + 1) quantile == half the chi2(2n + 2) quantile, bit for bit
+        expected = 0.5 * stats.chi2.ppf(0.95, 2 * (n + 1)) / 10.0
+        assert count_rate(n, 10.0).upper95_hz == expected
+
     def test_event_record_uses_detections(self):
         record = EventRecord(np.array([5.0, 5.0, 9.0]), np.array([6.0, 7.0, 11.0]))
         assert count_rate(record, 1.0).n_events == 2

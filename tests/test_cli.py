@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +228,14 @@ class TestCliSimulate:
         assert (out_a / "events.csv").read_bytes() == (out_b / "events.csv").read_bytes()
         assert (out_a / "trace.f64").read_bytes() == (out_b / "trace.f64").read_bytes()
 
+    def test_impossible_trace_size_exits_2(self, tmp_path, capsys):
+        cfg = simulate_cfg(tmp_path, duration_s=1.0, trace_duration_s=1.0,
+                           sample_rate_hz=1e15)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace of 1000000000000000 samples")
+        assert "bytes" in err
+
 
 class TestCliAnalyze:
     def test_trace_analysis(self, tmp_path):
@@ -318,3 +331,56 @@ class TestCliAnalyze:
         payload = json.loads((ana / "trace_analysis.json").read_text())
         assert payload["n_events"] == 0
         assert payload["edges"] is None
+
+
+# Runs every CLI command in one fresh interpreter, then lists the scipy modules
+# it loaded; the library functions that need scipy must still work after it.
+STARTUP_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from spdsim import analysis, cli, detsim
+
+    tmp = Path(sys.argv[1])
+    cfg, sweep = tmp / "cfg5000.yaml", tmp / "sweep"
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+
+    try:
+        cli.main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    run("tmm", "point", "--config", cfg, "--out", tmp / "tmm")
+    run("source", "calibrate", "--config", cfg, "--out", tmp / "cal")
+    for rate in (2000, 5000, 8000):
+        run("simulate", "--config", tmp / f"cfg{rate}.yaml", "--out", sweep / f"f{rate}")
+    run("simulate", "--config", cfg, "--out", tmp / "dark", "--shutter", "closed")
+    run("analyze", "trace", "--config", cfg, "--trace", sweep / "f5000" / "trace",
+        "--out", tmp / "ana")
+    run("analyze", "counts", "--config", cfg, "--light", sweep / "f5000",
+        "--dark", tmp / "dark", "--out", tmp / "ana")
+    run("analyze", "sweep", "--config", cfg, "--runs", sweep, "--out", tmp / "ana")
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print("scipy modules:", loaded)
+    trace = detsim.read_trace(sweep / "f5000" / "trace")
+    assert analysis.occupation_histogram(trace, 0.05).n_peaks >= 1
+    assert analysis.count_rate(0, 1.0).upper95_hz > 2.99
+""")
+
+
+class TestStartup:
+    def test_no_cli_command_imports_scipy(self, tmp_path):
+        for rate in (2000, 5000, 8000):
+            write_cfg(tmp_path, {
+                "detector": {"dead_time_us": 0.0, "noise_sigma_v": 0.1},
+                "source": {"mean_photons": 0.2, "repetition_rate_hz": rate},
+                "calibration": {"power_tap_watts": 1.28e-9},
+                "run": {"duration_s": 0.05, "sample_rate_hz": 1e7, "trace_duration_s": 0.02},
+            }, name=f"cfg{rate}.yaml")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy modules: []" in proc.stdout, proc.stdout

@@ -280,6 +280,12 @@ class TestSynthesizeTrace:
             synthesize_trace(EventRecord(np.array([]), np.array([])), params,
                              0.001, 1e6, seed=0)
 
+    def test_impossible_size_rejected_before_allocation(self):
+        # 1e15 samples ask for 8 PB per float64 buffer; nothing is allocated
+        with pytest.raises(ValueError, match=r"1000000000000000 samples .* bytes"):
+            synthesize_trace(EventRecord(np.array([]), np.array([])), DetectorParams(),
+                             1.0, 1e15, seed=0)
+
     def test_length_matches_duration(self):
         params = DetectorParams()
         trace = synthesize_trace(EventRecord(np.array([]), np.array([])), params,
@@ -348,3 +354,11 @@ class TestFileFormats:
         assert np.array_equal(back.samples, trace.samples)
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.baseline_v == trace.baseline_v
+
+    @pytest.mark.parametrize("n_bytes", [72, 83])  # a sample short; a partial sample over
+    def test_trace_size_checked_against_sidecar(self, tmp_path, n_bytes):
+        bin_path, _ = write_trace(detsim.TimeTrace(1e6, 0.0, np.zeros(10)), tmp_path / "trace")
+        with bin_path.open("r+b") as f:
+            f.truncate(n_bytes)
+        with pytest.raises(ValueError, match="sidecar"):
+            read_trace(tmp_path / "trace")
