@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detsim import EventRecord, TimeTrace
+from .source import PowerReading
 
 
 def estimate_baseline(trace: TimeTrace, window_s: float = 0.01) -> np.ndarray:
@@ -193,7 +194,8 @@ class CountingResult:
 
 def estimate_eqe(counts_light: int, counts_dark: int, n_bar: float,
                  repetition_rate_hz: float, duration_s: float,
-                 flux_rel_uncertainty: float = 0.05) -> CountingResult:
+                 flux_rel_uncertainty: float = PowerReading.relative_uncertainty
+                 ) -> CountingResult:
     """Dark-subtracted external quantum efficiency.
 
     EQE = (N_light - N_dark) / (n_bar * f * duration). The uncertainty

@@ -69,10 +69,7 @@ def cmd_tmm(args) -> int:
     axis = cfg["tmm"]["axis"]
 
     if args.tmm_command == "point":
-        if axis == "unpolarized":
-            resp = tmm.unpolarized_absorption(stack, wavelength)
-        else:
-            resp = tmm.stack_response(stack, wavelength, axis)
+        resp = tmm.stack_response(stack, wavelength, axis)
         _write_json(out / "response.json", _response_payload(stack, resp, wavelength, axis))
         print(f"wrote {out / 'response.json'}")
         return 0
@@ -156,20 +153,21 @@ def _manifest(cfg, seed, shutter, source, extra=None) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
     shutter_open = args.shutter != "closed"
     source = cfgmod.build_source(cfg, shutter_open=shutter_open)
     params = cfgmod.build_detector(cfg)
     duration = float(cfg["run"]["duration_s"])
     seed = int(cfg["run"]["seed"])
+    trace_duration = min(duration, float(cfg["run"]["trace_duration_s"]))
+    sample_rate = float(cfg["run"]["sample_rate_hz"])
+    detsim.check_trace(params, trace_duration, sample_rate)  # before any file is written
+    out = _out_dir(args, cfg)
 
     streams = np.random.SeedSequence(seed).spawn(2)
     events = detsim.simulate(params, source, duration, streams[0])
     detsim.write_events_csv(events, out / "events.csv")
 
-    trace_duration = min(duration, float(cfg["run"]["trace_duration_s"]))
-    trace = detsim.synthesize_trace(events, params, trace_duration,
-                                    float(cfg["run"]["sample_rate_hz"]), streams[1])
+    trace = detsim.synthesize_trace(events, params, trace_duration, sample_rate, streams[1])
     detsim.write_trace(trace, out / "trace")
 
     _write_json(out / "manifest.json", _manifest(cfg, seed, args.shutter, source, extra={
@@ -242,7 +240,8 @@ def cmd_analyze(args) -> int:
                 _run_detections(Path(light_dir)), _run_detections(Path(dark_dir)),
                 n_bar=float(src["mean_photons"]),
                 repetition_rate_hz=float(src["repetition_rate_hz"]),
-                duration_s=duration)
+                duration_s=duration,
+                flux_rel_uncertainty=float(cfg["calibration"]["relative_uncertainty"]))
             lines.append(
                 f"{result.photon_flux_hz:.10g},{result.counts_light},{result.counts_dark},"
                 f"{result.duration_s:.10g},{result.eqe:.10g},{result.eqe_sigma:.10g},"

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -51,7 +52,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "calibration": {
         "power_tap_watts": None,
         "tap_fraction": 0.5,
-        "relative_uncertainty": 0.05,
+        "relative_uncertainty": PowerReading.relative_uncertainty,
         "post_tap_chain": [],
     },
     "detector": {"absorptance_from_stack": False, **dataclasses.asdict(DetectorParams())},
@@ -84,11 +85,21 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"{here}: unknown configuration key")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        if isinstance(out[key], dict):
+            _require(isinstance(value, dict), here, f"expected a mapping, got {value!r}")
             out[key] = _deep_merge(out[key], value, here)
         else:
             out[key] = value
     return out
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads YAML 1.2 exponent floats such as 1.0e7 and 1e7."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def load_config(path: str | Path | None = None,
@@ -97,14 +108,12 @@ def load_config(path: str | Path | None = None,
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            loaded = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        cfg = _deep_merge(cfg, loaded)
+        if loaded is not None:
+            _require(isinstance(loaded, dict), str(path), "top level must be a mapping")
+            cfg = _deep_merge(cfg, loaded)
     if overrides:
         cfg = _deep_merge(cfg, overrides)
     validate_config(cfg)
@@ -116,79 +125,96 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _number(cfg: dict, path: str, minimum=None, positive=False) -> float:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(cfg: dict, path: str, minimum=None, positive=False, integer=False) -> float:
     node: Any = cfg
     for part in path.split("."):
         node = node[part]
-    _require(isinstance(node, (int, float)) and not isinstance(node, bool),
-             path, f"expected a number, got {node!r}")
+    _require(isinstance(node, int) and not isinstance(node, bool) if integer else _is_number(node),
+             path, f"expected {'an integer' if integer else 'a number'}, got {node!r}")
     value = float(node)
     if positive:
-        _require(value > 0, path, "must be positive")
+        _require(0 < value < float("inf"), path, "must be positive and finite")
     if minimum is not None:
         _require(value >= minimum, path, f"must be >= {minimum}")
     return value
 
 
+def _construct(block: str, make):
+    """Build a domain object; its ValueError, which names the field, becomes a ConfigError."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{block}.{exc}") from exc
+
+
 def validate_config(cfg: dict[str, Any]) -> None:
-    layers = cfg["stack"]["layers"]
+    """Types, and the ranges no domain object owns; the objects check their own."""
+    stack = cfg["stack"]
+    for key in ("incident", "exit"):
+        _require(isinstance(stack[key], str), f"stack.{key}", "must be a material name or path")
+    layers = stack["layers"]
     _require(isinstance(layers, list) and layers, "stack.layers", "must be a non-empty list")
     for i, layer in enumerate(layers):
-        _require(isinstance(layer, dict) and "material" in layer and "thickness_nm" in layer,
-                 f"stack.layers[{i}]", "needs 'material' and 'thickness_nm'")
+        _require(isinstance(layer, dict) and isinstance(layer.get("material"), str)
+                 and "thickness_nm" in layer,
+                 f"stack.layers[{i}]", "needs a 'material' name and 'thickness_nm'")
         thickness = layer["thickness_nm"]
-        _require(isinstance(thickness, (int, float)) and not isinstance(thickness, bool)
-                 and thickness >= 0,
-                 f"stack.layers[{i}].thickness_nm", "must be a nonnegative number")
+        _require(_is_number(thickness) and 0 <= thickness < float("inf"),
+                 f"stack.layers[{i}].thickness_nm", "must be a finite nonnegative number")
 
-    _number(cfg, "source.wavelength_nm", positive=True)
-    _number(cfg, "source.repetition_rate_hz", positive=True)
-    _number(cfg, "source.mean_photons", minimum=0.0)
+    for key in ("wavelength_nm", "repetition_rate_hz", "mean_photons"):
+        _number(cfg, f"source.{key}")
     pol = cfg["source"]["polarization"]
-    _require(pol in ("unpolarized", "armchair", "zigzag")
-             or isinstance(pol, (int, float)),
+    _require(pol in ("unpolarized", "armchair", "zigzag") or _is_number(pol),
              "source.polarization",
              "must be 'unpolarized', 'armchair', 'zigzag', or an angle in degrees")
+    _construct("source", lambda: build_source(cfg))
 
-    for frac in ("absorptance_armchair", "absorptance_zigzag", "iqe"):
-        value = _number(cfg, f"detector.{frac}", minimum=0.0)
-        _require(value <= 1.0, f"detector.{frac}", "must be within [0, 1]")
-    for nonneg in ("dark_rate_hz", "fall_time_us", "rise_time_us",
-                   "hold_time_mean_us", "dead_time_us", "noise_sigma_v"):
-        _number(cfg, f"detector.{nonneg}", minimum=0.0)
-    max_occ = cfg["detector"]["max_occupancy"]
-    _require(isinstance(max_occ, int) and not isinstance(max_occ, bool) and max_occ >= 1,
-             "detector.max_occupancy", "must be an integer >= 1")
+    det = dict(cfg["detector"])
+    _require(isinstance(det.pop("absorptance_from_stack"), bool),
+             "detector.absorptance_from_stack", "must be true or false")
+    for field in dataclasses.fields(DetectorParams):
+        _number(cfg, f"detector.{field.name}", integer=field.name == "max_occupancy")
+    _construct("detector", lambda: DetectorParams(**det))
 
     _number(cfg, "analysis.threshold_v", positive=True)
     _number(cfg, "analysis.hysteresis_v", positive=True)
     _require(cfg["analysis"]["threshold_v"] > cfg["analysis"]["hysteresis_v"],
              "analysis.threshold_v", "must exceed analysis.hysteresis_v")
     _number(cfg, "analysis.min_width_us", minimum=0.0)
+    _number(cfg, "analysis.baseline_window_s", positive=True)
 
     _number(cfg, "tmm.wavelength_nm", positive=True)
     _require(cfg["tmm"]["axis"] in ("armchair", "zigzag", "unpolarized"),
              "tmm.axis", "must be armchair, zigzag, or unpolarized")
     for rng_key in ("top_range_nm", "bottom_range_nm"):
         rng = cfg["tmm"][rng_key]
-        _require(isinstance(rng, (list, tuple)) and len(rng) == 2
-                 and float(rng[0]) >= 0 and float(rng[1]) >= float(rng[0]),
+        _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))
+                 and 0 <= rng[0] <= rng[1],
                  f"tmm.{rng_key}", "must be [lo, hi] with 0 <= lo <= hi")
     _number(cfg, "tmm.step_nm", positive=True)
 
     _number(cfg, "run.duration_s", positive=True)
     _number(cfg, "run.sample_rate_hz", positive=True)
     _number(cfg, "run.trace_duration_s", positive=True)
-    seed = cfg["run"]["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "run.seed", "must be an integer")
+    _number(cfg, "run.seed", minimum=0, integer=True)
+    _require(isinstance(cfg["run"]["out_dir"], str), "run.out_dir", "must be a path")
 
-    _number(cfg, "calibration.relative_uncertainty", minimum=0.0)
     cal = cfg["calibration"]
     if cal["power_tap_watts"] is not None:
-        _number(cfg, "calibration.power_tap_watts", minimum=0.0)
-        tap = _number(cfg, "calibration.tap_fraction")
-        _require(0.0 < tap < 1.0, "calibration.tap_fraction", "must be in (0, 1)")
+        _number(cfg, "calibration.power_tap_watts")
+    _number(cfg, "calibration.relative_uncertainty")
+    _construct("calibration",
+               lambda: PowerReading(cal["power_tap_watts"] or 0.0, cal["relative_uncertainty"]))
+    tap = _number(cfg, "calibration.tap_fraction")
+    _require(0.0 < tap < 1.0, "calibration.tap_fraction", "must be in (0, 1)")
+    _require(isinstance(cal["post_tap_chain"], list), "calibration.post_tap_chain",
+             "must be a list of stages")
+    build_chain(cal["post_tap_chain"])
 
 
 def config_hash(cfg: dict[str, Any]) -> str:
@@ -201,12 +227,12 @@ def config_hash(cfg: dict[str, Any]) -> str:
 
 
 def _material(name: str) -> materials.MaterialDispersion:
-    path = Path(name)
-    if path.suffix and path.exists():
-        return materials.load_dispersion(path)
     try:
+        path = Path(name)
+        if path.suffix and path.exists():
+            return materials.load_dispersion(path)
         return materials.bundled(name)
-    except KeyError as exc:
+    except (KeyError, OSError, ValueError) as exc:
         raise ConfigError(f"stack: {exc}") from exc
 
 
@@ -239,22 +265,22 @@ def build_source(cfg: dict[str, Any], shutter_open: bool = True) -> CoherentPuls
     )
 
 
+_STAGES = {"polarizer": Polarizer, "attenuator": Attenuator, "splitter_tap": Splitter,
+           "fiber": lambda _: MultimodeFiber()}
+
+
 def build_chain(stages_cfg: list) -> OpticalChain:
+    """The `calibration.post_tap_chain` list of single-key stage mappings."""
     stages = []
     for i, item in enumerate(stages_cfg):
-        if not isinstance(item, dict) or len(item) != 1:
-            raise ConfigError(f"chain[{i}]: each stage is a single-key mapping")
-        kind, value = next(iter(item.items()))
-        if kind == "polarizer":
-            stages.append(Polarizer(float(value)))
-        elif kind == "attenuator":
-            stages.append(Attenuator(float(value)))
-        elif kind == "splitter_tap":
-            stages.append(Splitter(float(value)))
-        elif kind == "fiber":
-            stages.append(MultimodeFiber())
-        else:
-            raise ConfigError(f"chain[{i}].{kind}: unknown stage kind")
+        here = f"calibration.post_tap_chain[{i}]"
+        _require(isinstance(item, dict) and len(item) == 1, here,
+                 "each stage is a single-key mapping")
+        (kind, value), = item.items()
+        _require(kind in _STAGES, f"{here}.{kind}", "unknown stage kind")
+        _require(kind == "fiber" or _is_number(value), f"{here}.{kind}",
+                 f"expected a number, got {value!r}")
+        stages.append(_construct(f"{here}.{kind}", lambda: _STAGES[kind](value)))
     return OpticalChain(tuple(stages))
 
 
@@ -264,12 +290,14 @@ def build_detector(cfg: dict[str, Any]) -> DetectorParams:
         from .tmm import stack_response
         stack = build_stack(cfg)
         wavelength = float(cfg["source"]["wavelength_nm"])
-        bp = stack.find_layer("bp")
-        det["absorptance_armchair"] = float(
-            stack_response(stack, wavelength, "armchair").layer_absorptance[bp])
-        det["absorptance_zigzag"] = float(
-            stack_response(stack, wavelength, "zigzag").layer_absorptance[bp])
-    det["max_occupancy"] = int(det["max_occupancy"])
+        try:
+            bp = stack.find_layer("bp")
+            for axis in ("armchair", "zigzag"):
+                det[f"absorptance_{axis}"] = float(
+                    stack_response(stack, wavelength, axis).layer_absorptance[bp])
+            return DetectorParams(**det)  # a stack the optics cannot solve gives NaN
+        except ValueError as exc:
+            raise ConfigError(f"detector.absorptance_from_stack: {exc}") from exc
     return DetectorParams(**det)
 
 

@@ -6,11 +6,11 @@ absorptance and the resulting electron is captured with probability `iqe`.
 By Poisson thinning the captured count per pulse is Poisson(n_bar * A * iqe),
 so `simulate` draws the run's total and places it uniformly on the pulses:
 memory grows with candidate captures, not with pulses. Dark captures arrive
-as an independent homogeneous Poisson process. One walk (`_accept`, shared
-with `apply_dead_time`) accepts a candidate when the readout is past its
-non-paralyzable dead time and the island has a free slot (occupancy below
-`max_occupancy`). Every captured electron holds for an exponential dwell
-time and is then pulled out again (auto-reset), decrementing the occupancy.
+as an independent homogeneous Poisson process. One walk (`_accept`) accepts
+a candidate when the readout is past its non-paralyzable dead time and the
+island has a free slot (occupancy below `max_occupancy`). Every captured
+electron holds for an exponential dwell time and is then pulled out again
+(auto-reset), decrementing the occupancy.
 
 Captured electrons from the same pulse share one timestamp; the counting
 electronics register them as a single detection, so `EventRecord`
@@ -76,10 +76,14 @@ class DetectorParams:
                 raise ValueError(f"{name} must be within [0, 1], got {v}")
         for name in ("dark_rate_hz", "fall_time_us", "rise_time_us",
                      "hold_time_mean_us", "dead_time_us", "noise_sigma_v"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.max_occupancy < 1:
-            raise ValueError("max_occupancy must be at least 1")
+            v = getattr(self, name)
+            if not v >= 0:  # written so that NaN fails
+                raise ValueError(f"{name} must be nonnegative, got {v}")
+        for name in ("step_amplitude_v", "baseline_v"):
+            if not math.isfinite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if not self.max_occupancy >= 1:
+            raise ValueError(f"max_occupancy must be at least 1, got {self.max_occupancy}")
 
     def absorptance(self, polarization: PulsePolarization) -> float:
         """Effective absorptance for the given photon polarization state."""
@@ -204,23 +208,6 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     return EventRecord(captures, captures + dwells[kept], origins)
 
 
-def simulate_trials(params: DetectorParams, source: CoherentPulseTrain, duration_s: float,
-                    n_trials: int, seed: int) -> list[EventRecord]:
-    """Independent trials on spawned substreams, merged in trial order."""
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    return [simulate(params, source, duration_s, child) for child in children]
-
-
-def apply_dead_time(capture_times_us: np.ndarray, dead_time_us: float) -> np.ndarray:
-    """Non-paralyzable thinning: drop captures within `dead_time_us` of the last kept one."""
-    times = np.asarray(capture_times_us, dtype=float)
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("capture times must be sorted")
-    if dead_time_us < 0:
-        raise ValueError("dead time must be nonnegative")
-    return times[_accept(times, np.zeros(times.size), dead_time_us, 1)]
-
-
 @dataclass
 class TimeTrace:
     """Uniformly sampled output voltage; sample i sits at i / sample_rate."""
@@ -244,9 +231,6 @@ class TimeTrace:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
 
-    def times_us(self) -> np.ndarray:
-        return np.arange(self.n_samples) * (1e6 / self.sample_rate_hz)
-
 
 def _physical_memory_bytes() -> int | None:
     """Total physical memory, or None where the OS does not report it."""
@@ -262,16 +246,10 @@ def _edge_tau_us(edge_time_us: float) -> float:
     return edge_time_us / LN9
 
 
-def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
-                     sample_rate_hz: float, seed: int | np.random.SeedSequence) -> TimeTrace:
-    """Render the occupancy ledger as a noisy voltage trace.
-
-    Level = baseline - step_amplitude * occupancy, with exponential edges on
-    every transition (superposed, so overlapping events stack) plus white
-    Gaussian noise. At most two float64 arrays of the trace's length are
-    alive at once; a trace whose two arrays exceed the machine's physical
-    memory is rejected before anything is allocated.
-    """
+def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
+    """Sample count of a `synthesize_trace` trace; raises ValueError, before
+    anything is allocated, for a nonpositive duration, two float64 buffers
+    beyond physical memory, or a sample rate too slow for the edges."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate_hz))
@@ -286,7 +264,19 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
             raise ValueError(
                 f"sample rate {sample_rate_hz:g} Hz too low to resolve a "
                 f"{edge:g} us edge (need >= {10.0 / (edge * 1e-6):g} Hz)")
+    return n
 
+
+def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
+                     sample_rate_hz: float, seed: int | np.random.SeedSequence) -> TimeTrace:
+    """Render the occupancy ledger as a noisy voltage trace.
+
+    Level = baseline - step_amplitude * occupancy, with exponential edges on
+    every transition (superposed, so overlapping events stack) plus white
+    Gaussian noise. At most two float64 arrays of the trace's length are
+    alive at once; `check_trace` rejects a trace that cannot be rendered.
+    """
+    n = check_trace(params, duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     dt_us = 1e6 / sample_rate_hz
     step = params.step_amplitude_v

@@ -200,20 +200,6 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
     return MaterialDispersion(name, wl, n, k, header=tuple(header))
 
 
-def save_dispersion(material: MaterialDispersion, path: str | Path) -> None:
-    """Write a dispersion table in the plain-text format `load_dispersion` reads."""
-    lines = [f"# {h}" for h in material.header]
-    if not lines:
-        lines.append(f"# {material.name} dispersion table")
-    for i, wl in enumerate(material.wavelength_nm):
-        cols = [f"{wl:.10g}"]
-        for ax in range(material.axes):
-            cols.append(f"{material.n[ax, i]:.10g}")
-            cols.append(f"{material.k[ax, i]:.10g}")
-        lines.append(",".join(cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 AIR = MaterialDispersion.constant("air", 1.0, 0.0)
 
 _BUNDLED_CACHE: dict[str, MaterialDispersion] = {}

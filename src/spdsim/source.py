@@ -14,7 +14,7 @@ propagates multiplicatively to the inferred mean photon number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # CODATA: h is exact in SI since 2019; c is exact by definition.
 PLANCK_H = 6.62607015e-34  # J s
@@ -68,19 +68,16 @@ class CoherentPulseTrain:
     polarization: PulsePolarization = PulsePolarization.unpolarized()
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0 or self.repetition_rate_hz <= 0:
-            raise ValueError("wavelength and repetition rate must be positive")
-        if self.mean_photons < 0:
-            raise ValueError("mean photon number must be nonnegative")
+        for name in ("wavelength_nm", "repetition_rate_hz"):
+            v = getattr(self, name)
+            if not v > 0:  # written so that NaN fails
+                raise ValueError(f"{name} must be positive, got {v}")
+        if not self.mean_photons >= 0:
+            raise ValueError(f"mean_photons must be nonnegative, got {self.mean_photons}")
 
     @property
     def photon_flux_hz(self) -> float:
         return self.mean_photons * self.repetition_rate_hz
-
-    @property
-    def mean_power_watts(self) -> float:
-        return power_from_mean_photons(self.mean_photons, self.wavelength_nm,
-                                       self.repetition_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,10 @@ class PowerReading:
     relative_uncertainty: float = 0.05
 
     def __post_init__(self):
-        if self.mean_power_watts < 0 or self.relative_uncertainty < 0:
-            raise ValueError("power and uncertainty must be nonnegative")
+        for name in ("mean_power_watts", "relative_uncertainty"):
+            v = getattr(self, name)
+            if not v >= 0:  # written so that NaN fails
+                raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class Attenuator:
 
     def __post_init__(self):
         if not (0.0 < self.transmittance <= 1.0):
-            raise ValueError("attenuator transmittance must be in (0, 1]")
+            raise ValueError(f"transmittance must be in (0, 1], got {self.transmittance}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class Splitter:
 
     def __post_init__(self):
         if not (0.0 <= self.tap_fraction < 1.0):
-            raise ValueError("tap fraction must be in [0, 1)")
+            raise ValueError(f"tap_fraction must be in [0, 1), got {self.tap_fraction}")
 
 
 @dataclass(frozen=True)
@@ -177,24 +176,6 @@ def chain_transmittance(chain: OpticalChain,
     return factor, polarization
 
 
-def apply_chain(pulse_or_power: CoherentPulseTrain | PowerReading,
-                chain: OpticalChain):
-    """Propagate a pulse train or power reading through the chain.
-
-    Coherent states stay coherent: only the mean photon number (or mean
-    power) is scaled by the chain transmittance.
-    """
-    if isinstance(pulse_or_power, CoherentPulseTrain):
-        factor, pol = chain_transmittance(chain, pulse_or_power.polarization)
-        return replace(pulse_or_power, mean_photons=pulse_or_power.mean_photons * factor,
-                       polarization=pol)
-    if isinstance(pulse_or_power, PowerReading):
-        factor, _ = chain_transmittance(chain, None)
-        return replace(pulse_or_power,
-                       mean_power_watts=pulse_or_power.mean_power_watts * factor)
-    raise TypeError("expected a CoherentPulseTrain or PowerReading")
-
-
 def poisson_pmf(n_bar: float, n: int) -> float:
     """P(n) = exp(-n_bar) n_bar^n / n!, evaluated in log space for stability."""
     if n_bar < 0:
@@ -221,14 +202,6 @@ def mean_photons_from_power(mean_power_watts: float, wavelength_nm: float,
     if mean_power_watts <= 0 or repetition_rate_hz <= 0:
         raise ValueError("power and repetition rate must be positive")
     return mean_power_watts / (photon_energy_joules(wavelength_nm) * repetition_rate_hz)
-
-
-def power_from_mean_photons(n_bar: float, wavelength_nm: float,
-                            repetition_rate_hz: float) -> float:
-    """Average power P = n_bar h nu f of the pulse train."""
-    if n_bar < 0 or repetition_rate_hz <= 0:
-        raise ValueError("n_bar must be nonnegative, repetition rate positive")
-    return n_bar * photon_energy_joules(wavelength_nm) * repetition_rate_hz
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ two axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class LayerStack:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    def with_thickness(self, index: int, thickness_nm: float) -> "LayerStack":
-        """Copy of the stack with layer `index` set to a new thickness."""
-        layers = list(self.layers)
-        layers[index] = replace(layers[index], thickness_nm=thickness_nm)
-        return replace(self, layers=tuple(layers))
-
     def find_layer(self, material_name: str, last: bool = False) -> int:
         """Index of the first (or last) layer whose material has this name."""
         matches = [i for i, lay in enumerate(self.layers)
@@ -101,13 +95,6 @@ def _layer_terms(material: MaterialDispersion, thickness_nm, wavelength_nm: floa
     delta = 2.0 * np.pi * eta * np.asarray(thickness_nm, dtype=float) / wavelength_nm
     sin_d = np.sin(delta)
     return np.cos(delta), 1j * sin_d / eta, 1j * eta * sin_d
-
-
-def characteristic_matrix(layer: Layer, wavelength_nm: float,
-                          axis: Polarization | str = Polarization.ARMCHAIR) -> np.ndarray:
-    """2x2 characteristic matrix of a single layer (unit determinant)."""
-    cos_d, m01, m10 = _layer_terms(layer.material, layer.thickness_nm, wavelength_nm, axis)
-    return np.array([[cos_d, m01], [m10, cos_d]], dtype=complex)
 
 
 def _transfer(stack: LayerStack, wavelength_nm: float, axis: Polarization,
@@ -146,28 +133,13 @@ def _transfer(stack: LayerStack, wavelength_nm: float, axis: Polarization,
     return np.abs(r) ** 2, flux_top / eta_in, absorptance
 
 
-def _response(stack: LayerStack, wavelength_nm: float, axis: Polarization) -> OpticalResponse:
-    r, t, a = _transfer(stack, wavelength_nm, axis, [lay.thickness_nm for lay in stack.layers])
-    return OpticalResponse(float(r), float(t), np.array(a, dtype=float))
-
-
 def stack_response(stack: LayerStack, wavelength_nm: float,
                    axis: Polarization | str = Polarization.ARMCHAIR) -> OpticalResponse:
-    """Full optical response of the stack for one linear polarization axis.
-
-    For anisotropic content use `axis` armchair or zigzag; pass unpolarized
-    light through `unpolarized_absorption` instead.
-    """
-    axis = Polarization(axis)
-    if axis is Polarization.UNPOLARIZED:
-        raise ValueError("stack_response handles a single axis; "
-                         "use unpolarized_absorption for the axis average")
-    return _response(stack, wavelength_nm, axis)
-
-
-def unpolarized_absorption(stack: LayerStack, wavelength_nm: float) -> OpticalResponse:
-    """Component-wise mean of the armchair and zigzag responses."""
-    return _response(stack, wavelength_nm, Polarization.UNPOLARIZED)
+    """Full optical response of the stack along `axis`: armchair, zigzag, or
+    unpolarized (the component-wise mean of the two)."""
+    r, t, a = _transfer(stack, wavelength_nm, Polarization(axis),
+                        [lay.thickness_nm for lay in stack.layers])
+    return OpticalResponse(float(r), float(t), np.array(a, dtype=float))
 
 
 def thickness_grid(lo: float, hi: float, step: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the characteristic-matrix formulation and the
-package's sign conventions: complex indices are n + ik with exp(-iwt) time
-dependence, and the stack response is the closed-form geometric summation of
-Fresnel bounce paths (Airy recursion), built from interface reflection and
-transmission amplitudes only.
+The stack response here deliberately avoids the characteristic-matrix
+formulation and the package's sign conventions: complex indices are n + ik
+with exp(-iwt) time dependence, and the response is the closed-form geometric
+summation of Fresnel bounce paths (Airy recursion), built from interface
+reflection and transmission amplitudes only. `characteristic_matrix` is the
+per-layer textbook matrix, written out without the package's kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import heapq
 import math
 
 import numpy as np
+
+from spdsim.materials import Polarization, index_at
 
 
 def fresnel_r(n_from: complex, n_to: complex) -> complex:
@@ -48,6 +51,16 @@ def bounce_series_rt(n_incident: complex, layers: list[tuple[complex, float]],
     big_r = abs(r_below) ** 2
     big_t = abs(t_below) ** 2 * np.real(n_exit) / np.real(n_incident)
     return float(big_r), float(big_t)
+
+
+def characteristic_matrix(layer, wavelength_nm: float,
+                          axis: Polarization | str = Polarization.ARMCHAIR) -> np.ndarray:
+    """[[cos d, i sin d / N], [i N sin d, cos d]] with d = 2 pi N t / lambda and
+    N = n - ik (Macleod, Thin-Film Optical Filters, ch. 2)."""
+    big_n = np.conj(index_at(layer.material, wavelength_nm, axis))
+    d = 2 * np.pi * big_n * layer.thickness_nm / wavelength_nm
+    return np.array([[np.cos(d), 1j * np.sin(d) / big_n],
+                     [1j * big_n * np.sin(d), np.cos(d)]], dtype=complex)
 
 
 def poisson_pmf_series(n_bar: float, n: int) -> float:

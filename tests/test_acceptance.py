@@ -94,7 +94,7 @@ def test_criterion_3_interference_structure():
     # unpolarized response is exactly the mean of the two axes
     ac = tmm.stack_response(stack, wavelength, "armchair")
     zz = tmm.stack_response(stack, wavelength, "zigzag")
-    unpol = tmm.unpolarized_absorption(stack, wavelength)
+    unpol = tmm.stack_response(stack, wavelength, "unpolarized")
     mean_ok = np.allclose(unpol.layer_absorptance,
                           0.5 * (ac.layer_absorptance + zz.layer_absorptance),
                           rtol=0.0, atol=1e-15)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdsim import cli, config as cfgmod, detsim
-from spdsim.config import ConfigError, build_chain, build_detector, build_source, build_stack, load_config
+from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
+                           build_stack, load_config)
 from spdsim.detsim import DetectorParams
 from spdsim.source import PulsePolarization
 
@@ -27,6 +33,32 @@ def write_cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return path
+
+
+FUZZ_BASE = {**copy.deepcopy(DEFAULT_CONFIG), "calibration": {
+    "power_tap_watts": 1.28e-9, "tap_fraction": 0.5, "relative_uncertainty": 0.05,
+    "post_tap_chain": [{"polarizer": 10.0}, {"attenuator": 1e-7}, {"splitter_tap": 0.1},
+                       {"fiber": None}]}}
+FUZZ_BASE["detector"]["absorptance_from_stack"] = True
+
+
+def key_paths(node, prefix=()):
+    """Every key and index path into a config document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+MUTABLE_PATHS = list(key_paths(FUZZ_BASE))
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-1.0, -1e-12, 0.0, math.nan, math.inf, -math.inf, 1e300]),
+    st.lists(st.one_of(st.none(), st.integers(-2, 2), st.floats(allow_nan=True)), max_size=3),
+    st.lists(st.lists(st.floats(allow_nan=True), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 1), max_size=2))
 
 
 class TestConfig:
@@ -108,6 +140,76 @@ class TestConfig:
         assert len(chain.stages) == 4
         with pytest.raises(ConfigError, match=r"chain\[0\]"):
             build_chain([{"prism": 1.0}])
+
+    @pytest.mark.parametrize("block, key", [
+        *(("source", k) for k in ("wavelength_nm", "repetition_rate_hz", "mean_photons")),
+        *(("detector", f.name) for f in dataclasses.fields(DetectorParams)
+          if f.name != "max_occupancy"),
+        ("calibration", "relative_uncertainty")])
+    def test_nan_rejected_by_the_owning_object(self, block, key):
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be "):
+            load_config(overrides={block: {key: math.nan}})
+
+    def test_object_errors_carry_the_block_path(self):
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"detector": {"iqe": 1.5}})
+        assert str(exc.value) == "detector.iqe must be within [0, 1], got 1.5"
+        with pytest.raises(ConfigError, match=r"^calibration\.mean_power_watts must be "):
+            load_config(overrides={"calibration": {"power_tap_watts": -1e-9}})
+        with pytest.raises(ConfigError, match=r"post_tap_chain\[1\]\.attenuator\.transmittance"):
+            load_config(overrides={"calibration": {"post_tap_chain": [{"fiber": None},
+                                                                      {"attenuator": 0.0}]}})
+
+    @pytest.mark.parametrize("overrides", [
+        {"tmm": {"top_range_nm": ["a", 1]}},
+        {"tmm": {"top_range_nm": [None, 1]}},
+        {"source": None},
+        {"analysis": {"baseline_window_s": "abc"}},
+        {"analysis": {"baseline_window_s": -1}},
+        {"calibration": {"post_tap_chain": 5}},
+        {"calibration": {"post_tap_chain": [{"attenuator": None}]}},
+        {"calibration": {"tap_fraction": "x"}},
+        {"stack": {"layers": [{"material": 5, "thickness_nm": 10.0}]}},
+        {"stack": {"exit": 5}},
+        {"run": {"out_dir": 5}},
+        {"run": {"duration_s": math.inf}},
+        {"run": {"sample_rate_hz": math.inf}},
+        {"detector": {"absorptance_from_stack": "yes"}},
+        {"detector": {"step_amplitude_v": "1"}},
+    ])
+    def test_rejected_at_load(self, overrides):
+        with pytest.raises(ConfigError):
+            load_config(overrides=overrides)
+
+    def test_stack_errors_from_the_optics_are_config_errors(self):
+        cfg = load_config(overrides={"detector": {"absorptance_from_stack": True},
+                                     "source": {"wavelength_nm": 5000.0}})
+        with pytest.raises(ConfigError, match="absorptance_from_stack"):
+            build_detector(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MUTABLE_PATHS), WRONG_VALUES),
+                    min_size=1, max_size=3))
+    def test_mutated_config_loads_or_raises_config_error(self, mutations):
+        doc = copy.deepcopy(FUZZ_BASE)
+        for path, value in mutations:
+            node = doc
+            try:
+                for part in path[:-1]:
+                    node = node[part]
+                node[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier mutation replaced a container on this path
+        try:
+            cfg = load_config(overrides=doc)
+        except ConfigError:
+            return
+        for build in (build_source, build_detector, build_stack,
+                      lambda c: build_chain(c["calibration"]["post_tap_chain"])):
+            try:
+                build(cfg)
+            except ConfigError:
+                pass
 
 
 def simulate_cfg(tmp_path, **run_overrides):
@@ -231,10 +333,12 @@ class TestCliSimulate:
     def test_impossible_trace_size_exits_2(self, tmp_path, capsys):
         cfg = simulate_cfg(tmp_path, duration_s=1.0, trace_duration_s=1.0,
                            sample_rate_hz=1e15)
-        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "run") == 2
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trace of 1000000000000000 samples")
         assert "bytes" in err
+        assert not out.exists() or not any(out.iterdir())  # rejected before any write
 
 
 class TestCliAnalyze:
@@ -263,6 +367,28 @@ class TestCliAnalyze:
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
         assert float(row["eqe"]) == pytest.approx(DEFAULT_EQE, abs=4 * float(row["eqe_sigma"]))
+
+    def test_counts_use_the_configured_relative_uncertainty(self, tmp_path):
+        cfg = simulate_cfg(tmp_path, duration_s=1.0)
+        light, dark = tmp_path / "light", tmp_path / "dark"
+        assert run_cli("simulate", "--config", cfg, "--out", light) == 0
+        assert run_cli("simulate", "--config", cfg, "--out", dark,
+                       "--shutter", "closed", "--seed", 100) == 0
+        sigmas = []
+        for rel in (0.05, 0.10):
+            rel_cfg = write_cfg(tmp_path, {"calibration": {"relative_uncertainty": rel}},
+                                name=f"rel{rel}.yaml")
+            ana = tmp_path / f"ana{rel}"
+            assert run_cli("analyze", "counts", "--config", rel_cfg,
+                           "--light", light, "--dark", dark, "--out", ana) == 0
+            header, line = (ana / "counting.csv").read_text().splitlines()
+            row = {k: float(v) for k, v in zip(header.split(","), line.split(","))}
+            exposure = row["photon_flux_hz"] * row["duration_s"]
+            counting = math.sqrt(row["counts_light"] + row["counts_dark"]) / exposure
+            assert row["eqe_sigma"] == pytest.approx(math.hypot(counting, rel * row["eqe"]),
+                                                     rel=1e-9)
+            sigmas.append(row["eqe_sigma"])
+        assert sigmas[1] > sigmas[0]
 
     def test_sweep_pipeline(self, tmp_path):
         sweeps = tmp_path / "sweeps"

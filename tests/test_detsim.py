@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,11 +10,10 @@ from scipy import stats
 
 from oracles import accept_loop, per_pulse_detection_probability
 from spdsim import detsim
-from spdsim.detsim import (DetectorParams, EventRecord, apply_dead_time, read_events_csv,
-                           read_trace, simulate, simulate_trials, synthesize_trace,
-                           write_events_csv, write_trace)
+from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
+                           synthesize_trace, write_events_csv, write_trace)
 from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, Polarizer,
-                           PulsePolarization, Splitter, apply_chain)
+                           PulsePolarization, Splitter, chain_transmittance)
 
 
 def train(n_bar, f=1e4, polarization=PulsePolarization.unpolarized()):
@@ -35,6 +35,12 @@ class TestParams:
             DetectorParams(absorptance_armchair=-0.1)
         with pytest.raises(ValueError):
             DetectorParams(max_occupancy=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectorParams)
+                                      if f.name != "max_occupancy"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            DetectorParams(**{name: math.nan})
 
     def test_polarized_absorptance(self):
         p = DetectorParams(absorptance_armchair=0.5, absorptance_zigzag=0.01)
@@ -127,15 +133,6 @@ class TestSimulate:
         result = stats.kstest(intervals, "expon", args=(0.0, 10.0))
         assert result.pvalue > 0.01
 
-    def test_spawned_trials_are_independent_and_deterministic(self):
-        params = DetectorParams(dead_time_us=0.0)
-        trials_a = simulate_trials(params, train(0.05), 2.0, 3, seed=77)
-        trials_b = simulate_trials(params, train(0.05), 2.0, 3, seed=77)
-        for a, b in zip(trials_a, trials_b):
-            assert np.array_equal(a.capture_times_us, b.capture_times_us)
-        assert not np.array_equal(trials_a[0].capture_times_us,
-                                  trials_a[1].capture_times_us)
-
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             simulate(ideal_params(), train(0.1), 0.0, seed=1)
@@ -144,8 +141,8 @@ class TestSimulate:
         # Thinning a Poisson photon number by a chain, the absorptance and
         # the iqe leaves a Poisson capture count with the product mean.
         chain = OpticalChain((Polarizer(30.0), Attenuator(0.5), Splitter(0.4)))
-        source = apply_chain(CoherentPulseTrain(1550.0, 1e6, 9.0,
-                                                PulsePolarization.armchair()), chain)
+        factor, pol = chain_transmittance(chain, PulsePolarization.armchair())
+        source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, pol)
         params = DetectorParams(dark_rate_hz=0.0, dead_time_us=0.0, max_occupancy=10 ** 9)
         record = simulate(params, source, 1.0, seed=2024)
         n_pulses = 1_000_000
@@ -185,33 +182,30 @@ class TestAcceptWalk:
         times, dwells = candidates
         assert (detsim._accept(times, dwells, dead_time_us, max_occupancy)
                 == accept_loop(times, dwells, dead_time_us, max_occupancy))
-        assert np.array_equal(apply_dead_time(times, dead_time_us),
-                              times[accept_loop(times, np.zeros(times.size),
-                                                dead_time_us, 1)])
+        zeros = np.zeros(times.size)
+        assert (detsim._accept(times, zeros, dead_time_us, 1)
+                == accept_loop(times, zeros, dead_time_us, 1))
 
 
 class TestApplyDeadTime:
+    """Non-paralyzable thinning: the walk with zero dwells and one slot."""
+
     def test_zero_dead_time_identity(self):
         times = np.array([0.0, 1.0, 2.5])
-        out = apply_dead_time(times, 0.0)
-        assert np.array_equal(out, times)
+        assert detsim._accept(times, np.zeros(3), 0.0, 1) == [0, 1, 2]
 
     def test_direct_rule(self):
-        out = apply_dead_time(np.array([0.0, 10.0, 25.0]), 20.0)
-        assert out.tolist() == [0.0, 25.0]
+        times = np.array([0.0, 10.0, 25.0])
+        assert times[detsim._accept(times, np.zeros(3), 20.0, 1)].tolist() == [0.0, 25.0]
 
     def test_nonparalyzable_rate_formula(self):
         rng = np.random.default_rng(8)
         rate, duration_us, tau = 40_000.0, 10e6, 50.0
         n = rng.poisson(rate * duration_us * 1e-6)
         arrivals = np.sort(rng.uniform(0, duration_us, n))
-        kept = apply_dead_time(arrivals, tau)
-        accepted_rate = kept.size / (duration_us * 1e-6)
+        kept = detsim._accept(arrivals, np.zeros(n), tau, 1)
+        accepted_rate = len(kept) / (duration_us * 1e-6)
         assert accepted_rate == pytest.approx(rate / (1 + rate * tau * 1e-6), rel=0.02)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            apply_dead_time(np.array([5.0, 1.0]), 10.0)
 
 
 class TestSynthesizeTrace:
@@ -229,7 +223,7 @@ class TestSynthesizeTrace:
         record = EventRecord(np.array([100.0]), np.array([160.0]))
         trace = synthesize_trace(record, params, 4e-4, 50e6, seed=0)
         v = trace.samples
-        t = trace.times_us()
+        dt_us = 1e6 / trace.sample_rate_hz
         assert v.min() == pytest.approx(-1.0, abs=1e-3)
 
         def span(level_from, seg, rising):
@@ -241,7 +235,7 @@ class TestSynthesizeTrace:
             else:
                 t10 = seg[np.argmax(v[seg] <= -0.1)]
                 t90 = seg[np.argmax(v[seg] <= -0.9)]
-            return (t90 - t10) * (t[1] - t[0])
+            return (t90 - t10) * dt_us
 
         fall_seg = np.arange(int(99 / 0.02), int(130 / 0.02))
         rise_seg = np.arange(int(159 / 0.02), int(195 / 0.02))

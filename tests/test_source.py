@@ -1,13 +1,20 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from oracles import multi_photon_series, poisson_pmf_series
-from spdsim.source import (Attenuator, CoherentPulseTrain, MultimodeFiber, OpticalChain,
-                           Polarizer, PowerReading, PulsePolarization, Splitter,
-                           apply_chain, calibrate_flux, chain_transmittance,
+from spdsim.source import (PLANCK_H, SPEED_OF_LIGHT, Attenuator, CoherentPulseTrain,
+                           MultimodeFiber, OpticalChain, Polarizer, PowerReading,
+                           PulsePolarization, Splitter, calibrate_flux, chain_transmittance,
                            mean_photons_from_power, multi_photon_probability,
-                           photon_energy_joules, poisson_pmf, power_from_mean_photons)
+                           photon_energy_joules, poisson_pmf)
+
+
+def through(train, chain):
+    """The pulse train after the chain: only n_bar and the polarization change."""
+    factor, pol = chain_transmittance(chain, train.polarization)
+    return replace(train, mean_photons=train.mean_photons * factor, polarization=pol)
 
 
 class TestPoissonPmf:
@@ -78,12 +85,11 @@ class TestPowerRelation:
 
     def test_round_trip_exact(self):
         for n_bar in (0.0053, 0.1, 7.3):
-            p = power_from_mean_photons(n_bar, 1550.0, 1e4)
+            p = n_bar * (PLANCK_H * SPEED_OF_LIGHT / 1550e-9) * 1e4  # P = n_bar h nu f
             assert mean_photons_from_power(p, 1550.0, 1e4) == pytest.approx(n_bar, rel=1e-14)
 
     def test_low_flux_endpoint(self):
-        p = power_from_mean_photons(0.0053, 1550.0, 1e4)
-        assert p == pytest.approx(6.79e-20, rel=1e-3)
+        assert mean_photons_from_power(6.79e-18, 1550.0, 1e4) == pytest.approx(0.0053, rel=1e-3)
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -97,50 +103,51 @@ class TestChain:
         return CoherentPulseTrain(1550.0, 1e4, n_bar, polarization)
 
     def test_aligned_polarizer_transmits_fully(self):
-        out = apply_chain(self.train(), OpticalChain((Polarizer(0.0),)))
+        out = through(self.train(), OpticalChain((Polarizer(0.0),)))
         assert out.mean_photons == pytest.approx(1e6, rel=1e-15)
 
     def test_malus_law_45_and_90(self):
-        out45 = apply_chain(self.train(), OpticalChain((Polarizer(45.0),)))
+        out45 = through(self.train(), OpticalChain((Polarizer(45.0),)))
         assert out45.mean_photons == pytest.approx(0.5e6, rel=1e-12)
-        out90 = apply_chain(self.train(), OpticalChain((Polarizer(90.0),)))
+        out90 = through(self.train(), OpticalChain((Polarizer(90.0),)))
         assert out90.mean_photons == pytest.approx(0.0, abs=1e-25)
 
     def test_worked_chain_example(self):
         chain = OpticalChain((Polarizer(60.0), Attenuator(1e-6), Splitter(0.5)))
-        out = apply_chain(self.train(), chain)
+        out = through(self.train(), chain)
         assert out.mean_photons == pytest.approx(1e6 * 0.25 * 1e-6 * 0.5, rel=1e-12)
         assert out.polarization.angle_deg == 60.0
 
     def test_unpolarized_through_polarizer(self):
-        out = apply_chain(self.train(polarization=PulsePolarization.unpolarized()),
-                          OpticalChain((Polarizer(30.0),)))
+        out = through(self.train(polarization=PulsePolarization.unpolarized()),
+                      OpticalChain((Polarizer(30.0),)))
         assert out.mean_photons == pytest.approx(0.5e6, rel=1e-15)
         assert out.polarization.angle_deg == 30.0
 
     def test_fiber_depolarizes_without_loss(self):
-        out = apply_chain(self.train(), OpticalChain((MultimodeFiber(),)))
+        out = through(self.train(), OpticalChain((MultimodeFiber(),)))
         assert out.mean_photons == 1e6
         assert out.polarization.is_unpolarized
 
     def test_chain_composition_associative(self):
         stages = (Polarizer(20.0), Attenuator(0.3), Polarizer(50.0), Splitter(0.25),
                   Attenuator(0.9))
-        whole = apply_chain(self.train(), OpticalChain(stages))
+        whole = through(self.train(), OpticalChain(stages))
         stepwise = self.train()
         for stage in stages:
-            stepwise = apply_chain(stepwise, OpticalChain((stage,)))
+            stepwise = through(stepwise, OpticalChain((stage,)))
         assert stepwise.mean_photons == pytest.approx(whole.mean_photons, rel=1e-12)
         assert stepwise.polarization == whole.polarization
 
     def test_power_reading_through_attenuators(self):
-        out = apply_chain(PowerReading(2e-9), OpticalChain((Attenuator(0.1), Splitter(0.5))))
+        factor, _ = chain_transmittance(OpticalChain((Attenuator(0.1), Splitter(0.5))), None)
+        out = replace(PowerReading(2e-9), mean_power_watts=2e-9 * factor)
         assert out.mean_power_watts == pytest.approx(1e-10, rel=1e-12)
         assert out.relative_uncertainty == 0.05
 
     def test_power_reading_through_polarizer_rejected(self):
         with pytest.raises(ValueError, match="polarizer"):
-            apply_chain(PowerReading(2e-9), OpticalChain((Polarizer(10.0),)))
+            chain_transmittance(OpticalChain((Polarizer(10.0),)), None)
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +161,19 @@ class TestChain:
         factor, pol = chain_transmittance(OpticalChain((Attenuator(0.5), Splitter(0.2))))
         assert factor == pytest.approx(0.4, rel=1e-12)
         assert pol.is_unpolarized
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("field", ["wavelength_nm", "repetition_rate_hz", "mean_photons"])
+    def test_pulse_train_rejects_nan(self, field):
+        values = {"wavelength_nm": 1550.0, "repetition_rate_hz": 1e4, "mean_photons": 0.1}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CoherentPulseTrain(**{**values, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["mean_power_watts", "relative_uncertainty"])
+    def test_power_reading_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
+            PowerReading(**{"mean_power_watts": 1e-9, field: math.nan})
 
 
 class TestCalibration:

@@ -1,16 +1,16 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bounce_series_rt
+from oracles import bounce_series_rt, characteristic_matrix
 from spdsim import device, materials, tmm
 from spdsim.materials import MaterialDispersion, Polarization, index_at
-from spdsim.tmm import (Layer, LayerStack, absorption_map, characteristic_matrix,
-                        optimize_thicknesses, stack_response, thickness_grid,
-                        unpolarized_absorption)
+from spdsim.tmm import (Layer, LayerStack, absorption_map, optimize_thicknesses,
+                        stack_response, thickness_grid)
 
 
 def const(name, n, k=0.0):
@@ -145,9 +145,22 @@ class TestStackResponse:
                            exit=materials.bundled("si"))
         assert stack_response(stack, 1550.0).transmittance < 1e-6
 
-    def test_unpolarized_requires_dedicated_routine(self):
-        with pytest.raises(ValueError, match="unpolarized"):
-            stack_response(device.device_stack(), 1550.0, Polarization.UNPOLARIZED)
+    @pytest.mark.parametrize("axis", ["armchair", "zigzag"])
+    def test_matches_characteristic_matrix_product(self, axis):
+        # The bundled, anisotropic device stack against the product of the
+        # oracle's per-layer matrices: (B, C) = M_1 ... M_n (1, eta_exit).
+        stack = device.device_stack()
+        product = np.eye(2)
+        for layer in stack.layers:
+            product = product @ characteristic_matrix(layer, 1550.0, axis)
+        eta_in = index_at(stack.incident, 1550.0, axis).real
+        eta_exit = np.conj(index_at(stack.exit, 1550.0, axis))
+        b, c = product @ np.array([1.0, eta_exit])
+        resp = stack_response(stack, 1550.0, axis)
+        assert resp.reflectance == pytest.approx(
+            abs((eta_in * b - c) / (eta_in * b + c)) ** 2, abs=1e-12)
+        assert resp.transmittance == pytest.approx(
+            4 * eta_in * eta_exit.real / abs(eta_in * b + c) ** 2, abs=1e-12)
 
     def test_lossy_incident_medium_rejected(self):
         stack = LayerStack(layers=(Layer(const("a", 2.0), 100.0),),
@@ -165,7 +178,7 @@ class TestUnpolarized:
         stack = device.device_stack()
         ac = stack_response(stack, 1550.0, "armchair")
         zz = stack_response(stack, 1550.0, "zigzag")
-        unpol = unpolarized_absorption(stack, 1550.0)
+        unpol = stack_response(stack, 1550.0, "unpolarized")
         np.testing.assert_allclose(
             unpol.layer_absorptance, 0.5 * (ac.layer_absorptance + zz.layer_absorptance),
             atol=1e-15)
@@ -174,7 +187,7 @@ class TestUnpolarized:
 
     def test_isotropic_stack_unaffected(self):
         stack = simple_stack([(2.0, 0.3, 200.0)], n_exit=3.0)
-        unpol = unpolarized_absorption(stack, 1550.0)
+        unpol = stack_response(stack, 1550.0, Polarization.UNPOLARIZED)
         ac = stack_response(stack, 1550.0, "armchair")
         assert unpol.reflectance == pytest.approx(ac.reflectance, abs=1e-15)
         np.testing.assert_allclose(unpol.layer_absorptance, ac.layer_absorptance, atol=1e-15)
@@ -184,8 +197,7 @@ class TestAbsorptionMap:
     def test_degenerate_grid_single_cell(self):
         stack = device.device_stack()
         grid = absorption_map(stack, [120.0], [60.0], 1550.0, "armchair")
-        direct = stack_response(
-            stack.with_thickness(0, 120.0).with_thickness(4, 60.0), 1550.0, "armchair")
+        direct = stack_response(device.device_stack(120.0, 60.0), 1550.0, "armchair")
         assert grid.shape == (1, 1)
         assert grid[0, 0] == pytest.approx(direct.layer_absorptance[1], abs=1e-15)
 
@@ -229,9 +241,10 @@ class TestAbsorptionMap:
             grid = absorption_map(stack, tops, bottoms, 1550.0, axis, sweep_layers=sweep)
             for a, t_top in enumerate(tops):
                 for b, t_bottom in enumerate(bottoms):
-                    cell = stack.with_thickness(0, t_top).with_thickness(3, t_bottom)
-                    resp = (unpolarized_absorption(cell, 1550.0) if axis == "unpolarized"
-                            else stack_response(cell, 1550.0, axis))
+                    cell = replace(stack, layers=(replace(layers[0], thickness_nm=t_top),
+                                                  *layers[1:3],
+                                                  replace(layers[3], thickness_nm=t_bottom)))
+                    resp = stack_response(cell, 1550.0, axis)
                     assert grid[a, b] == pytest.approx(resp.layer_absorptance[1], abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
