@@ -161,10 +161,11 @@ def cmd_simulate(args) -> int:
     trace_duration = min(duration, float(cfg["run"]["trace_duration_s"]))
     sample_rate = float(cfg["run"]["sample_rate_hz"])
     detsim.check_trace(params, trace_duration, sample_rate)  # before any file is written
-    out = _out_dir(args, cfg)
 
     streams = np.random.SeedSequence(seed).spawn(2)
     events = detsim.simulate(params, source, duration, streams[0])
+    n_detections = events.n_detections
+    out = _out_dir(args, cfg)
     detsim.write_events_csv(events, out / "events.csv")
 
     trace = detsim.synthesize_trace(events, params, trace_duration, sample_rate, streams[1])
@@ -176,10 +177,10 @@ def cmd_simulate(args) -> int:
             "pulses": int(np.floor(duration * source.repetition_rate_hz - 1e-9)) + 1,
             "dark_events": params.dark_rate_hz * duration,
         },
-        "counts": {"captures": events.n_captures, "detections": events.n_detections},
+        "counts": {"captures": events.n_captures, "detections": n_detections},
         "trace": {"duration_s": trace_duration, "sample_rate_hz": trace.sample_rate_hz},
     }))
-    print(f"wrote {out}: {events.n_detections} detections "
+    print(f"wrote {out}: {n_detections} detections "
           f"({events.n_captures} captures) in {duration:g} s")
     return 0
 

@@ -35,6 +35,11 @@ import numpy as np
 from .source import CoherentPulseTrain, PulsePolarization
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
+_EDGE_BLOCK_SAMPLES = 1 << 17  # edge samples rendered per block in synthesize_trace
+# Peak bytes per candidate capture in `simulate` when every candidate is
+# accepted: candidate times, sort order and dwells, the walk's index list and
+# the record (35 bytes when the dead time blocks nearly all of them).
+_CANDIDATE_BYTES = 90
 
 ORIGIN_PHOTON = "photon"
 ORIGIN_DARK = "dark"
@@ -98,10 +103,11 @@ class DetectorParams:
 class EventRecord:
     """Capture/release event pairs; release i belongs to capture i.
 
-    `capture_times_us` is sorted; release times are not globally sorted
-    because dwell times are exponential. Scheduled releases may fall past the
-    simulated duration. `origins` is None for records recovered from traces,
-    where the cause of each event is unknown.
+    Times are finite and nonnegative and `capture_times_us` is sorted, all
+    checked here; release times are not globally sorted because dwell times
+    are exponential. Scheduled releases may fall past the simulated
+    duration. `origins` is None for records recovered from traces, where the
+    cause of each event is unknown.
     """
 
     capture_times_us: np.ndarray
@@ -117,8 +123,12 @@ class EventRecord:
             self.origins = np.asarray(self.origins)
             if self.origins.shape != self.capture_times_us.shape:
                 raise ValueError("origins must pair with captures")
+        if not (np.all(self.capture_times_us >= 0) and np.all(np.isfinite(self.release_times_us))):
+            raise ValueError("event times must be finite and nonnegative")
         if np.any(self.release_times_us < self.capture_times_us):
             raise ValueError("a release precedes its capture")
+        if np.any(np.diff(self.capture_times_us) < 0):
+            raise ValueError("capture times must be sorted")
 
     @property
     def n_captures(self) -> int:
@@ -128,10 +138,14 @@ class EventRecord:
     @property
     def n_detections(self) -> int:
         """Number of distinct capture instants (what the counter registers)."""
-        return int(np.unique(self.capture_times_us).size)
+        if self.capture_times_us.size == 0:
+            return 0
+        return 1 + int(np.count_nonzero(np.diff(self.capture_times_us)))
 
     def detection_times_us(self) -> np.ndarray:
-        return np.unique(self.capture_times_us)
+        """The distinct capture instants: the first time of each run of equal times."""
+        t = self.capture_times_us
+        return t[np.concatenate(([True], np.diff(t) != 0))] if t.size else t
 
     def occupancy_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(transition times, occupancy after each transition), time-ordered.
@@ -153,9 +167,10 @@ def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
     A candidate is accepted when it is at least `dead_time_us` after the last
     accepted one and fewer than `max_occupancy` accepted candidates still
     hold a slot; candidate i holds one until times[i] + dwells[i]. Only
-    accepted candidates and those a full island blocks are visited.
+    accepted candidates and those a full island blocks are visited; an
+    acceptance whose dead time blocks the next candidate searches once for
+    the first candidate past it.
     """
-    after = np.searchsorted(times, times + dead_time_us)
     kept: list[int] = []
     pending: list[float] = []
     i, n = 0, times.size
@@ -166,10 +181,21 @@ def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
         if len(pending) < max_occupancy:
             kept.append(i)
             heapq.heappush(pending, t + float(dwells[i]))
-            i = max(int(after[i]), i + 1)
+            end = t + dead_time_us
+            i += 1
+            if i < n and times[i] < end:  # jump past the candidates the dead time blocks
+                i = int(times.searchsorted(end))
         else:
             i += 1
     return kept
+
+
+def _physical_memory_bytes() -> int | None:
+    """Total physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: float,
@@ -179,19 +205,28 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     Pulses fire at k/f for k = 0, 1, ... within the duration. Candidate
     captures (thinned photons plus dark arrivals) are processed in time
     order against the occupancy cap and the non-paralyzable readout dead
-    time; accepted captures schedule an exponential-dwell release.
+    time; accepted captures schedule an exponential-dwell release. Raises
+    ValueError, before any draw, when the expected candidates at
+    `_CANDIDATE_BYTES` each exceed physical memory.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    rng = np.random.default_rng(seed)
-    duration_us = duration_s * 1e6
     f = source.repetition_rate_hz
-    pulse_period_us = 1e6 / f
-
     n_pulses = int(math.floor(duration_s * f - 1e-9)) + 1
     mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
-    pulses = np.sort(rng.integers(0, n_pulses, size=rng.poisson(mu * n_pulses)))
-    photon_times = pulses * pulse_period_us
+    expected = mu * n_pulses + params.dark_rate_hz * duration_s
+    memory = _physical_memory_bytes()
+    if memory is not None and expected * _CANDIDATE_BYTES > memory:
+        raise ValueError(
+            f"{duration_s:g} s at {f:g} Hz expects {expected:.4g} candidate captures, "
+            f"which need {expected * _CANDIDATE_BYTES:.4g} bytes; "
+            f"this machine has {memory} bytes")
+
+    rng = np.random.default_rng(seed)
+    duration_us = duration_s * 1e6
+    pulse_period_us = 1e6 / f
+    photon_times = np.sort(rng.integers(0, n_pulses, size=rng.poisson(mu * n_pulses)))
+    photon_times = photon_times * pulse_period_us
 
     n_dark = rng.poisson(params.dark_rate_hz * duration_s)
     dark_times = np.sort(rng.uniform(0.0, duration_us, size=n_dark))
@@ -232,14 +267,6 @@ class TimeTrace:
         return self.n_samples / self.sample_rate_hz
 
 
-def _physical_memory_bytes() -> int | None:
-    """Total physical memory, or None where the OS does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _edge_tau_us(edge_time_us: float) -> float:
     # Single-exponential edges; tau = t_edge / ln 9 makes the 10-90% span
     # equal the configured edge time exactly.
@@ -275,39 +302,47 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
     every transition (superposed, so overlapping events stack) plus white
     Gaussian noise. At most two float64 arrays of the trace's length are
     alive at once; `check_trace` rejects a trace that cannot be rendered.
+    Edges are rendered in blocks of at most `_EDGE_BLOCK_SAMPLES` samples, so
+    their scratch arrays stay within a few MB whatever the event count.
     """
     n = check_trace(params, duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     dt_us = 1e6 / sample_rate_hz
     step = params.step_amplitude_v
 
+    # First sample at or after each transition; transitions past the trace
+    # leave no mark on it.
+    transitions = []
+    for times, sign, edge in ((events.capture_times_us, 1.0, params.fall_time_us),
+                              (events.release_times_us, -1.0, params.rise_time_us)):
+        starts = np.ceil(times / dt_us - 1e-12).astype(int)
+        inside = starts < n
+        transitions.append((starts[inside], times[inside], sign, edge))
+
     # Piecewise-constant occupancy on the sample grid.
     jump = np.zeros(n + 1)
-    for times, sign in ((events.capture_times_us, 1.0),
-                        (events.release_times_us, -1.0)):
-        idx = np.ceil(times / dt_us - 1e-12).astype(int)
-        idx = idx[(idx >= 0) & (idx < n)]
-        np.add.at(jump, idx, sign)
+    for starts, _, sign, _ in transitions:
+        np.add.at(jump, starts, sign)
     level = np.cumsum(jump[:n])  # occupancy, turned into volts in place
     del jump
     level *= -step
     level += params.baseline_v
 
     # Exponential transients restore continuity at each transition and decay
-    # toward the new level. Windows are truncated once exp < 1e-12.
-    for times, sign, edge in ((events.capture_times_us, 1.0, params.fall_time_us),
-                              (events.release_times_us, -1.0, params.rise_time_us)):
+    # toward the new level. Windows are truncated once exp < 1e-12. `np.add.at`
+    # adds in row-major order, so each sample takes its terms in event order.
+    for starts, times, sign, edge in transitions:
         if edge <= 0:
             continue  # instantaneous edge
         tau = _edge_tau_us(edge)
         span = int(math.ceil(27.7 * tau / dt_us)) + 1
-        for t in times:
-            start = int(math.ceil(t / dt_us - 1e-12))
-            if start >= n:
-                continue
-            stop = min(n, start + span)
-            rel_t = np.arange(start, stop) * dt_us - t
-            level[start:stop] += sign * step * np.exp(-rel_t / tau)
+        offsets = np.arange(span)
+        rows = max(1, _EDGE_BLOCK_SAMPLES // span)
+        for lo in range(0, starts.size, rows):
+            idx = starts[lo:lo + rows, None] + offsets
+            vals = sign * step * np.exp(-(idx * dt_us - times[lo:lo + rows, None]) / tau)
+            ok = idx < n
+            np.add.at(level, idx[ok], vals[ok])
 
     if params.noise_sigma_v > 0:
         level += rng.normal(0.0, params.noise_sigma_v, size=n)
@@ -317,16 +352,23 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
 # ---------------------------------------------------------------------------
 # File formats
 
+_KINDS = ("capture", "release")  # indexed by "is a release"
+
 
 def write_events_csv(record: EventRecord, path: str | Path) -> None:
-    """CSV rows `timestamp_us,kind,origin` merged in time order."""
+    """CSV rows `timestamp_us,kind,origin` merged in time order.
+
+    At equal times captures come before releases, and rows of one kind keep
+    the record's order.
+    """
     n = record.n_captures
     origins = record.origins if record.origins is not None else np.full(n, "unknown")
-    rows = [(record.capture_times_us[i], "capture", origins[i]) for i in range(n)]
-    rows += [(record.release_times_us[i], "release", origins[i]) for i in range(n)]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    times = np.concatenate([record.capture_times_us, record.release_times_us])
+    order = np.argsort(times, kind="stable")  # captures hold the lower indices
+    rows = zip(times[order].tolist(), (order >= n).tolist(),
+               np.concatenate([origins, origins])[order].tolist())
     lines = ["timestamp_us,kind,origin"]
-    lines += [f"{t:.4f},{kind},{origin}" for t, kind, origin in rows]
+    lines += [f"{t:.4f},{_KINDS[is_release]},{origin}" for t, is_release, origin in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

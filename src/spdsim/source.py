@@ -37,6 +37,11 @@ class PulsePolarization:
 
     angle_deg: float | None = None
 
+    def __post_init__(self):
+        if self.angle_deg is not None and not math.isfinite(self.angle_deg):
+            raise ValueError(
+                f"polarization must be a finite angle in degrees, got {self.angle_deg}")
+
     @classmethod
     def unpolarized(cls) -> "PulsePolarization":
         return cls(None)

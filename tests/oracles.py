@@ -6,15 +6,20 @@ with exp(-iwt) time dependence, and the response is the closed-form geometric
 summation of Fresnel bounce paths (Airy recursion), built from interface
 reflection and transmission amplitudes only. `characteristic_matrix` is the
 per-layer textbook matrix, written out without the package's kernel.
+`write_events_csv_rows` and `synthesize_trace_loop` are the row-by-row and
+transition-by-transition forms of the event CSV writer and the trace renderer;
+the package's array forms must give the same bytes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 
+from spdsim.detsim import EventRecord, TimeTrace, check_trace
 from spdsim.materials import Polarization, index_at
 
 
@@ -121,3 +126,53 @@ def accept_loop(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
             if dead_time_us > 0:
                 dead_until = t + dead_time_us
     return kept
+
+
+def write_events_csv_rows(record: EventRecord, path: str | Path) -> None:
+    """CSV rows `timestamp_us,kind,origin` merged in time order, one tuple per row."""
+    n = record.n_captures
+    origins = record.origins if record.origins is not None else np.full(n, "unknown")
+    rows = [(record.capture_times_us[i], "capture", origins[i]) for i in range(n)]
+    rows += [(record.release_times_us[i], "release", origins[i]) for i in range(n)]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    lines = ["timestamp_us,kind,origin"]
+    lines += [f"{t:.4f},{kind},{origin}" for t, kind, origin in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def synthesize_trace_loop(events: EventRecord, params, duration_s: float,
+                          sample_rate_hz: float, seed) -> TimeTrace:
+    """The occupancy trace with each transition's edge added by its own slice."""
+    n = check_trace(params, duration_s, sample_rate_hz)
+    rng = np.random.default_rng(seed)
+    dt_us = 1e6 / sample_rate_hz
+    step = params.step_amplitude_v
+
+    jump = np.zeros(n + 1)
+    for times, sign in ((events.capture_times_us, 1.0),
+                        (events.release_times_us, -1.0)):
+        idx = np.ceil(times / dt_us - 1e-12).astype(int)
+        idx = idx[(idx >= 0) & (idx < n)]
+        np.add.at(jump, idx, sign)
+    level = np.cumsum(jump[:n])
+    del jump
+    level *= -step
+    level += params.baseline_v
+
+    for times, sign, edge in ((events.capture_times_us, 1.0, params.fall_time_us),
+                              (events.release_times_us, -1.0, params.rise_time_us)):
+        if edge <= 0:
+            continue
+        tau = edge / math.log(9.0)
+        span = int(math.ceil(27.7 * tau / dt_us)) + 1
+        for t in times:
+            start = int(math.ceil(t / dt_us - 1e-12))
+            if start >= n:
+                continue
+            stop = min(n, start + span)
+            rel_t = np.arange(start, stop) * dt_us - t
+            level[start:stop] += sign * step * np.exp(-rel_t / tau)
+
+    if params.noise_sigma_v > 0:
+        level += rng.normal(0.0, params.noise_sigma_v, size=n)
+    return TimeTrace(sample_rate_hz, params.baseline_v, level)

@@ -150,6 +150,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be "):
             load_config(overrides={block: {key: math.nan}})
 
+    @pytest.mark.parametrize("text", [".nan", ".inf"])
+    def test_nonfinite_polarization_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"source:\n  polarization: {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^source\.polarization must be a finite angle"):
+            load_config(path)
+
     def test_object_errors_carry_the_block_path(self):
         with pytest.raises(ConfigError) as exc:
             load_config(overrides={"detector": {"iqe": 1.5}})
@@ -275,7 +282,7 @@ class TestCliSource:
         payload = json.loads((tmp_path / "c" / "calibration.json").read_text())
         assert payload["n_bar"] == pytest.approx(0.1, rel=2e-3)
         assert payload["n_bar_sigma"] == pytest.approx(0.05 * payload["n_bar"], rel=1e-9)
-        assert payload["power_device_watts"] == pytest.approx(1.28e-16, rel=1e-12)
+        assert payload["power_device_watts"] == pytest.approx(1.28e-16, rel=1e-12, abs=0)
 
     def test_calibrate_requires_reading(self, tmp_path):
         cfg = write_cfg(tmp_path, {})
@@ -339,6 +346,14 @@ class TestCliSimulate:
         assert err.startswith("error: trace of 1000000000000000 samples")
         assert "bytes" in err
         assert not out.exists() or not any(out.iterdir())  # rejected before any write
+
+    def test_candidates_beyond_memory_exit_2_without_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"source": {"mean_photons": 1.0, "repetition_rate_hz": 1e9},
+                                   "run": {"duration_s": 1e4}})
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+        assert "candidate captures" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliAnalyze:

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import accept_loop, per_pulse_detection_probability
+from oracles import (accept_loop, per_pulse_detection_probability, synthesize_trace_loop,
+                     write_events_csv_rows)
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
@@ -162,6 +166,12 @@ class TestSimulate:
         assert abs(record.n_captures - 43_200) < 4 * math.sqrt(43_200)
         assert set(record.origins) == {"dark"}
 
+    def test_memory_budget_rejects_before_any_draw(self):
+        # 1e13 pulses at n_bar 1 expect 2.142e12 candidates: ~190 TB of arrays
+        with pytest.raises(ValueError,
+                           match=r"expects 2\.142e\+12 candidate captures, which need .* bytes"):
+            simulate(DetectorParams(), train(1.0, f=1e9), 1e4, seed=0)
+
 
 @st.composite
 def candidate_sets(draw):
@@ -185,6 +195,73 @@ class TestAcceptWalk:
         zeros = np.zeros(times.size)
         assert (detsim._accept(times, zeros, dead_time_us, 1)
                 == accept_loop(times, zeros, dead_time_us, 1))
+
+
+@st.composite
+def event_records(draw):
+    """Captures on a coarse grid with dwells often 0 or on the grid, so captures
+    tie with captures and with releases; origins mixed, or None."""
+    ticks = sorted(draw(st.lists(st.integers(0, 40), max_size=40)))
+    dwells = draw(st.lists(st.one_of(st.integers(0, 10).map(lambda k: 0.5 * k),
+                                     st.floats(0.0, 20.0)),
+                           min_size=len(ticks), max_size=len(ticks)))
+    origins = draw(st.one_of(st.none(), st.lists(st.sampled_from(["photon", "dark"]),
+                                                 min_size=len(ticks), max_size=len(ticks))))
+    captures = 0.5 * np.array(ticks, dtype=float)
+    return EventRecord(captures, captures + np.array(dwells, dtype=float), origins)
+
+
+@st.composite
+def trace_cases(draw):
+    """A record whose transitions fall before, across and past the end of a
+    10 MS/s trace, detector edges (0 is instantaneous), and an edge block size
+    from one transition per block up to the default."""
+    duration_s = draw(st.sampled_from([1e-5, 1e-4, 3e-4]))
+    end_us = 1.2e6 * duration_s
+    times = st.one_of(st.integers(0, int(end_us / 0.05)).map(lambda k: 0.05 * k),
+                      st.floats(0.0, end_us))
+    captures = np.array(sorted(draw(st.lists(times, max_size=30))), dtype=float)
+    dwells = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=captures.size,
+                                    max_size=captures.size)), dtype=float)
+    edge = st.one_of(st.just(0.0), st.floats(1.5, 5.0))
+    params = DetectorParams(fall_time_us=draw(edge), rise_time_us=draw(edge),
+                            noise_sigma_v=draw(st.sampled_from([0.0, 0.05])),
+                            step_amplitude_v=draw(st.floats(0.1, 2.0)),
+                            baseline_v=draw(st.floats(-1.0, 1.0)))
+    block = draw(st.sampled_from([1, 300, detsim._EDGE_BLOCK_SAMPLES]))
+    return EventRecord(captures, captures + dwells), params, duration_s, block
+
+
+class TestArrayFormsMatchLoops:
+    """The array writer and renderer give the bytes of their per-row oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_records())
+    def test_events_csv_bytes(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_events_csv(record, got)
+            write_events_csv_rows(record, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_cases(), st.integers(0, 2**32 - 1))
+    def test_trace_samples(self, case, seed):
+        record, params, duration_s, block = case
+        with mock.patch.object(detsim, "_EDGE_BLOCK_SAMPLES", block):
+            got = synthesize_trace(record, params, duration_s, 1e7, seed)
+        want = synthesize_trace_loop(record, params, duration_s, 1e7, seed)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_trace_samples_over_many_default_blocks(self):
+        # ~3000 transitions against ~450 per block at the default edges
+        rng = np.random.default_rng(11)
+        captures = np.sort(rng.uniform(0.0, 10_000.0, 1500))
+        record = EventRecord(captures, captures + rng.exponential(10.0, captures.size))
+        params = DetectorParams()
+        got = synthesize_trace(record, params, 0.009, 1e7, seed=12)
+        want = synthesize_trace_loop(record, params, 0.009, 1e7, seed=12)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestApplyDeadTime:
@@ -312,6 +389,25 @@ class TestEventRecordChecks:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             EventRecord(np.array([10.0]), np.array([15.0, 20.0]))
+
+    @pytest.mark.parametrize("captures, releases", [
+        ([-1.0], [2.0]), ([math.nan], [1.0]), ([1.0], [math.nan]), ([1.0], [math.inf])])
+    def test_negative_or_nonfinite_times_rejected(self, captures, releases):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            EventRecord(np.array(captures), np.array(releases))
+
+    def test_unsorted_captures_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            EventRecord(np.array([9.0, 5.0]), np.array([10.0, 6.0]))
+
+    def test_equal_time_captures_are_one_detection(self):
+        captures = np.array([5.0, 5.0, 9.0, 9.0, 9.0, 12.0])
+        record = EventRecord(captures, captures + 1.0)
+        assert record.n_detections == 3
+        assert record.detection_times_us().tolist() == [5.0, 9.0, 12.0]
+        empty = EventRecord(np.array([]), np.array([]))
+        assert empty.n_detections == 0
+        assert empty.detection_times_us().size == 0
 
     def test_detection_collapse(self):
         record = EventRecord(np.array([5.0, 5.0, 9.0]), np.array([6.0, 7.0, 11.0]))

@@ -73,7 +73,7 @@ class TestMultiPhotonProbability:
 class TestPowerRelation:
     def test_single_photon_energy_anchor(self):
         # hc/lambda at 1550 nm is ~1.28e-19 J (order 1e-19)
-        assert photon_energy_joules(1550.0) == pytest.approx(1.2816e-19, rel=1e-4)
+        assert photon_energy_joules(1550.0) == pytest.approx(1.2816e-19, rel=1e-4, abs=0)
 
     def test_nbar_one_at_1khz(self):
         assert mean_photons_from_power(1.2816e-16, 1550.0, 1e3) == pytest.approx(1.0, rel=1e-4)
@@ -142,7 +142,7 @@ class TestChain:
     def test_power_reading_through_attenuators(self):
         factor, _ = chain_transmittance(OpticalChain((Attenuator(0.1), Splitter(0.5))), None)
         out = replace(PowerReading(2e-9), mean_power_watts=2e-9 * factor)
-        assert out.mean_power_watts == pytest.approx(1e-10, rel=1e-12)
+        assert out.mean_power_watts == pytest.approx(1e-10, rel=1e-12, abs=0)
         assert out.relative_uncertainty == 0.05
 
     def test_power_reading_through_polarizer_rejected(self):
@@ -180,7 +180,7 @@ class TestCalibration:
     def test_symmetric_tap_lossless_chain(self):
         reading = PowerReading(1.2816e-16)
         result = calibrate_flux(reading, 0.5, OpticalChain(()), 1550.0, 1e3)
-        assert result.power_device_watts == pytest.approx(1.2816e-16, rel=1e-12)
+        assert result.power_device_watts == pytest.approx(1.2816e-16, rel=1e-12, abs=0)
         assert result.n_bar == pytest.approx(1.0, rel=1e-4)
 
     def test_uncertainty_propagates_linearly(self):
