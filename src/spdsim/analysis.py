@@ -62,31 +62,24 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     rel = estimate_baseline(trace, baseline_window_s)
     np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
 
-    below = rel < -threshold_v
-    above = rel > -(threshold_v - hysteresis_v)
-    down = np.nonzero(below[1:] & ~below[:-1])[0] + 1
-    up = np.nonzero(above[1:] & ~above[:-1])[0] + 1
-    if below[0]:
-        down = np.insert(down, 0, 0)
-
+    # One full-length mask at a time: the peak is `rel` plus two masks.
+    down = _turns_true(rel < -threshold_v)
+    up = _turns_true(rel > -(threshold_v - hysteresis_v))
+    # A capture pairs with the first release after it. No sample is both below
+    # and above, so the captures between an accepted one and its release share
+    # it: keep the first per release. The rest are events open at the end.
+    k = np.searchsorted(up, down, side="right")
+    first = np.flatnonzero((k < up.size) & (np.diff(k, prepend=-1) != 0))
+    d, u = down[first], up[k[first]]
     dt_us = 1e6 / trace.sample_rate_hz
-    captures = []
-    releases = []
-    pos = 0
-    while True:
-        j = np.searchsorted(down, pos)
-        if j >= down.size:
-            break
-        d = down[j]
-        k = np.searchsorted(up, d + 1)
-        if k >= up.size:
-            break  # event still open at end of trace
-        u = up[k]
-        if (u - d) * dt_us >= min_width_us:
-            captures.append(d * dt_us)
-            releases.append(u * dt_us)
-        pos = u + 1
-    return EventRecord(np.array(captures), np.array(releases), origins=None)
+    wide = (u - d) * dt_us >= min_width_us
+    return EventRecord(d[wide] * dt_us, u[wide] * dt_us, origins=None)
+
+
+def _turns_true(mask: np.ndarray) -> np.ndarray:
+    """Indices where `mask` turns true, led by 0 when it starts true."""
+    idx = np.flatnonzero(mask[1:] > mask[:-1]) + 1
+    return np.insert(idx, 0, 0) if mask[0] else idx
 
 
 @dataclass

@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
     _write_json(out / "manifest.json", _manifest(cfg, seed, args.shutter, source, extra={
         "duration_s": duration,
         "expected": {
-            "pulses": int(np.floor(duration * source.repetition_rate_hz - 1e-9)) + 1,
+            "pulses": source.pulse_count(duration),
             "dark_events": params.dark_rate_hz * duration,
         },
         "counts": {"captures": events.n_captures, "detections": n_detections},

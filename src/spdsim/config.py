@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 from typing import Any
@@ -21,7 +22,7 @@ from . import device, materials
 from .detsim import DetectorParams
 from .source import (Attenuator, CoherentPulseTrain, MultimodeFiber, OpticalChain,
                      Polarizer, PowerReading, PulsePolarization, Splitter)
-from .tmm import Layer, LayerStack
+from .tmm import Layer, LayerStack, stack_response
 
 
 class ConfigError(ValueError):
@@ -32,16 +33,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "stack": {
         "incident": "air",
         "exit": "si",
-        "layers": [
-            {"material": "hbn", "thickness_nm": device.DEFAULT_TOP_HBN_NM},
-            {"material": "bp", "thickness_nm": device.BP_THICKNESS_NM},
-            {"material": "mos2", "thickness_nm": device.MOS2_THICKNESS_NM},
-            {"material": "wse2", "thickness_nm": device.WSE2_THICKNESS_NM},
-            {"material": "hbn", "thickness_nm": device.DEFAULT_BOTTOM_HBN_NM},
-            {"material": "au", "thickness_nm": device.AU_THICKNESS_NM},
-            {"material": "ti", "thickness_nm": device.TI_THICKNESS_NM},
-            {"material": "sio2", "thickness_nm": device.SIO2_THICKNESS_NM},
-        ],
+        "layers": [{"material": m, "thickness_nm": t} for m, t in device.DEFAULT_LAYERS],
     },
     "source": {
         "wavelength_nm": device.DESIGN_WAVELENGTH_NM,
@@ -79,18 +71,30 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# A bool, int or float default types its key, and an int also fits a float key.
+# No value is converted, so a file's `1550` keeps its bytes in the manifest.
+_TYPES = {bool: (lambda v: isinstance(v, bool), "true or false"),
+          int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+          float: (_is_number, "a number")}
+
+
+def _deep_merge(cfg: dict, override: dict, default: dict, path: str = "") -> None:
+    """Merge `override` into `cfg` in place; the `default` block names and types its keys."""
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
-        if key not in out:
-            raise ConfigError(f"{here}: unknown configuration key")
-        if isinstance(out[key], dict):
+        _require(key in default, here, "unknown configuration key")
+        if isinstance(default[key], dict):
             _require(isinstance(value, dict), here, f"expected a mapping, got {value!r}")
-            out[key] = _deep_merge(out[key], value, here)
-        else:
-            out[key] = value
-    return out
+            _deep_merge(cfg[key], value, default[key], here)
+            continue
+        if type(default[key]) in _TYPES:
+            fits, name = _TYPES[type(default[key])]
+            _require(fits(value), here, f"expected {name}, got {value!r}")
+        cfg[key] = value
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -113,9 +117,8 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         if loaded is not None:
             _require(isinstance(loaded, dict), str(path), "top level must be a mapping")
-            cfg = _deep_merge(cfg, loaded)
-    if overrides:
-        cfg = _deep_merge(cfg, overrides)
+            _deep_merge(cfg, loaded, DEFAULT_CONFIG)
+    _deep_merge(cfg, overrides or {}, DEFAULT_CONFIG)
     validate_config(cfg)
     return cfg
 
@@ -123,24 +126,6 @@ def load_config(path: str | Path | None = None,
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{path}: {message}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(cfg: dict, path: str, minimum=None, positive=False, integer=False) -> float:
-    node: Any = cfg
-    for part in path.split("."):
-        node = node[part]
-    _require(isinstance(node, int) and not isinstance(node, bool) if integer else _is_number(node),
-             path, f"expected {'an integer' if integer else 'a number'}, got {node!r}")
-    value = float(node)
-    if positive:
-        _require(0 < value < float("inf"), path, "must be positive and finite")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}")
-    return value
 
 
 def _construct(block: str, make):
@@ -152,7 +137,7 @@ def _construct(block: str, make):
 
 
 def validate_config(cfg: dict[str, Any]) -> None:
-    """Types, and the ranges no domain object owns; the objects check their own."""
+    """Rules no default's type or domain object owns; then the objects check their own."""
     stack = cfg["stack"]
     for key in ("incident", "exit"):
         _require(isinstance(stack[key], str), f"stack.{key}", "must be a material name or path")
@@ -163,32 +148,27 @@ def validate_config(cfg: dict[str, Any]) -> None:
                  and "thickness_nm" in layer,
                  f"stack.layers[{i}]", "needs a 'material' name and 'thickness_nm'")
         thickness = layer["thickness_nm"]
-        _require(_is_number(thickness) and 0 <= thickness < float("inf"),
+        _require(_is_number(thickness) and 0 <= thickness < math.inf,
                  f"stack.layers[{i}].thickness_nm", "must be a finite nonnegative number")
 
-    for key in ("wavelength_nm", "repetition_rate_hz", "mean_photons"):
-        _number(cfg, f"source.{key}")
     pol = cfg["source"]["polarization"]
-    _require(pol in ("unpolarized", "armchair", "zigzag") or _is_number(pol),
-             "source.polarization",
+    _require(pol in PulsePolarization.NAMED or _is_number(pol), "source.polarization",
              "must be 'unpolarized', 'armchair', 'zigzag', or an angle in degrees")
     _construct("source", lambda: build_source(cfg))
 
     det = dict(cfg["detector"])
-    _require(isinstance(det.pop("absorptance_from_stack"), bool),
-             "detector.absorptance_from_stack", "must be true or false")
-    for field in dataclasses.fields(DetectorParams):
-        _number(cfg, f"detector.{field.name}", integer=field.name == "max_occupancy")
+    del det["absorptance_from_stack"]
     _construct("detector", lambda: DetectorParams(**det))
 
-    _number(cfg, "analysis.threshold_v", positive=True)
-    _number(cfg, "analysis.hysteresis_v", positive=True)
+    for path in ("analysis.threshold_v", "analysis.hysteresis_v", "analysis.baseline_window_s",
+                 "tmm.wavelength_nm", "tmm.step_nm",
+                 "run.duration_s", "run.sample_rate_hz", "run.trace_duration_s"):
+        block, key = path.split(".")
+        _require(0 < cfg[block][key] < math.inf, path, "must be positive and finite")
     _require(cfg["analysis"]["threshold_v"] > cfg["analysis"]["hysteresis_v"],
              "analysis.threshold_v", "must exceed analysis.hysteresis_v")
-    _number(cfg, "analysis.min_width_us", minimum=0.0)
-    _number(cfg, "analysis.baseline_window_s", positive=True)
+    _require(cfg["analysis"]["min_width_us"] >= 0.0, "analysis.min_width_us", "must be >= 0.0")
 
-    _number(cfg, "tmm.wavelength_nm", positive=True)
     _require(cfg["tmm"]["axis"] in ("armchair", "zigzag", "unpolarized"),
              "tmm.axis", "must be armchair, zigzag, or unpolarized")
     for rng_key in ("top_range_nm", "bottom_range_nm"):
@@ -196,22 +176,16 @@ def validate_config(cfg: dict[str, Any]) -> None:
         _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))
                  and 0 <= rng[0] <= rng[1],
                  f"tmm.{rng_key}", "must be [lo, hi] with 0 <= lo <= hi")
-    _number(cfg, "tmm.step_nm", positive=True)
 
-    _number(cfg, "run.duration_s", positive=True)
-    _number(cfg, "run.sample_rate_hz", positive=True)
-    _number(cfg, "run.trace_duration_s", positive=True)
-    _number(cfg, "run.seed", minimum=0, integer=True)
+    _require(cfg["run"]["seed"] >= 0, "run.seed", "must be >= 0")
     _require(isinstance(cfg["run"]["out_dir"], str), "run.out_dir", "must be a path")
 
     cal = cfg["calibration"]
-    if cal["power_tap_watts"] is not None:
-        _number(cfg, "calibration.power_tap_watts")
-    _number(cfg, "calibration.relative_uncertainty")
+    _require(cal["power_tap_watts"] is None or _is_number(cal["power_tap_watts"]),
+             "calibration.power_tap_watts", f"expected a number, got {cal['power_tap_watts']!r}")
     _construct("calibration",
                lambda: PowerReading(cal["power_tap_watts"] or 0.0, cal["relative_uncertainty"]))
-    tap = _number(cfg, "calibration.tap_fraction")
-    _require(0.0 < tap < 1.0, "calibration.tap_fraction", "must be in (0, 1)")
+    _require(0.0 < cal["tap_fraction"] < 1.0, "calibration.tap_fraction", "must be in (0, 1)")
     _require(isinstance(cal["post_tap_chain"], list), "calibration.post_tap_chain",
              "must be a list of stages")
     build_chain(cal["post_tap_chain"])
@@ -246,12 +220,8 @@ def build_stack(cfg: dict[str, Any]) -> LayerStack:
 
 
 def build_polarization(value) -> PulsePolarization:
-    if value == "unpolarized":
-        return PulsePolarization.unpolarized()
-    if value == "armchair":
-        return PulsePolarization.armchair()
-    if value == "zigzag":
-        return PulsePolarization.zigzag()
+    if value in PulsePolarization.NAMED:
+        return getattr(PulsePolarization, value)()
     return PulsePolarization.linear(float(value))
 
 
@@ -287,7 +257,6 @@ def build_chain(stages_cfg: list) -> OpticalChain:
 def build_detector(cfg: dict[str, Any]) -> DetectorParams:
     det = dict(cfg["detector"])
     if det.pop("absorptance_from_stack"):
-        from .tmm import stack_response
         stack = build_stack(cfg)
         wavelength = float(cfg["source"]["wavelength_nm"])
         try:
@@ -295,7 +264,7 @@ def build_detector(cfg: dict[str, Any]) -> DetectorParams:
             for axis in ("armchair", "zigzag"):
                 det[f"absorptance_{axis}"] = float(
                     stack_response(stack, wavelength, axis).layer_absorptance[bp])
-            return DetectorParams(**det)  # a stack the optics cannot solve gives NaN
+            return DetectorParams(**det)  # rounding may leave a lossless layer's A below 0
         except ValueError as exc:
             raise ConfigError(f"detector.absorptance_from_stack: {exc}") from exc
     return DetectorParams(**det)

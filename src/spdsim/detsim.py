@@ -12,6 +12,11 @@ island has a free slot (occupancy below `max_occupancy`). Every captured
 electron holds for an exponential dwell time and is then pulled out again
 (auto-reset), decrementing the occupancy.
 
+The dead time blocks capture, not just the counter: a candidate inside it
+never reaches the island. At the defaults (50 us dead time, 10 us mean
+dwell) the island so rarely holds two electrons (under 1e-3 of transitions
+at 10 kHz, n_bar 2) that an occupation histogram needs `dead_time_us: 0`.
+
 Captured electrons from the same pulse share one timestamp; the counting
 electronics register them as a single detection, so `EventRecord`
 distinguishes the raw electron-capture count from the distinct-detection
@@ -202,17 +207,16 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
              seed: int | np.random.SeedSequence) -> EventRecord:
     """Run one detection-cycle trial; deterministic for a given seed.
 
-    Pulses fire at k/f for k = 0, 1, ... within the duration. Candidate
-    captures (thinned photons plus dark arrivals) are processed in time
-    order against the occupancy cap and the non-paralyzable readout dead
-    time; accepted captures schedule an exponential-dwell release. Raises
-    ValueError, before any draw, when the expected candidates at
-    `_CANDIDATE_BYTES` each exceed physical memory.
+    Candidate captures (photons thinned onto `source.pulse_count` pulses,
+    plus dark arrivals) are processed in time order against the occupancy
+    cap and the non-paralyzable readout dead time; accepted captures schedule
+    an exponential-dwell release. Raises ValueError, before any draw, when
+    the expected candidates at `_CANDIDATE_BYTES` each exceed physical memory.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     f = source.repetition_rate_hz
-    n_pulses = int(math.floor(duration_s * f - 1e-9)) + 1
+    n_pulses = source.pulse_count(duration_s)
     mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
     expected = mu * n_pulses + params.dark_rate_hz * duration_s
     memory = _physical_memory_bytes()
@@ -265,12 +269,6 @@ class TimeTrace:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
-
-
-def _edge_tau_us(edge_time_us: float) -> float:
-    # Single-exponential edges; tau = t_edge / ln 9 makes the 10-90% span
-    # equal the configured edge time exactly.
-    return edge_time_us / LN9
 
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
@@ -334,7 +332,7 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
     for starts, times, sign, edge in transitions:
         if edge <= 0:
             continue  # instantaneous edge
-        tau = _edge_tau_us(edge)
+        tau = edge / LN9  # single-exponential edge: its 10-90% span is exactly `edge`
         span = int(math.ceil(27.7 * tau / dt_us)) + 1
         offsets = np.arange(span)
         rows = max(1, _EDGE_BLOCK_SAMPLES // span)

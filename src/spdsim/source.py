@@ -36,6 +36,7 @@ class PulsePolarization:
     """
 
     angle_deg: float | None = None
+    NAMED = ("unpolarized", "armchair", "zigzag")  # the classmethods that name a state
 
     def __post_init__(self):
         if self.angle_deg is not None and not math.isfinite(self.angle_deg):
@@ -83,6 +84,10 @@ class CoherentPulseTrain:
     @property
     def photon_flux_hz(self) -> float:
         return self.mean_photons * self.repetition_rate_hz
+
+    def pulse_count(self, duration_s: float) -> int:
+        """Pulses fired at k / f, k = 0, 1, ..., before `duration_s` ends."""
+        return math.floor(duration_s * self.repetition_rate_hz - 1e-9) + 1
 
 
 @dataclass(frozen=True)

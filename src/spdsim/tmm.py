@@ -130,7 +130,10 @@ def _transfer(stack: LayerStack, wavelength_nm: float, axis: Polarization,
         flux_bottom = (e * np.conj(h)).real
         absorptance.append((flux_top - flux_bottom) / eta_in)
         flux_top = flux_bottom
-    return np.abs(r) ** 2, flux_top / eta_in, absorptance
+    reflectance, transmittance = np.abs(r) ** 2, flux_top / eta_in
+    if not np.isfinite(reflectance + transmittance + sum(absorptance)).all():  # inf/NaN spread
+        raise ValueError(f"R, T or A not finite at {wavelength_nm:g} nm; is a layer too thick?")
+    return reflectance, transmittance, absorptance
 
 
 def stack_response(stack: LayerStack, wavelength_nm: float,

@@ -6,9 +6,10 @@ with exp(-iwt) time dependence, and the response is the closed-form geometric
 summation of Fresnel bounce paths (Airy recursion), built from interface
 reflection and transmission amplitudes only. `characteristic_matrix` is the
 per-layer textbook matrix, written out without the package's kernel.
-`write_events_csv_rows` and `synthesize_trace_loop` are the row-by-row and
-transition-by-transition forms of the event CSV writer and the trace renderer;
-the package's array forms must give the same bytes.
+`write_events_csv_rows`, `synthesize_trace_loop` and `detect_events_loop` are
+the row-by-row, transition-by-transition and event-by-event forms of the event
+CSV writer, the trace renderer and the event detector; the package's array
+forms must give the same bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from spdsim.analysis import estimate_baseline
 from spdsim.detsim import EventRecord, TimeTrace, check_trace
 from spdsim.materials import Polarization, index_at
 
@@ -176,3 +178,44 @@ def synthesize_trace_loop(events: EventRecord, params, duration_s: float,
     if params.noise_sigma_v > 0:
         level += rng.normal(0.0, params.noise_sigma_v, size=n)
     return TimeTrace(sample_rate_hz, params.baseline_v, level)
+
+
+def detect_events_loop(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
+                       min_width_us: float, baseline_window_s: float = 0.01) -> EventRecord:
+    """Hysteresis thresholding of downward pulses.
+
+    A capture fires when the trace drops below baseline - threshold; the
+    matching release fires when it climbs back above
+    baseline - (threshold - hysteresis). Events narrower than `min_width_us`
+    are discarded, as is an event still open at the end of the trace.
+    """
+    if not (threshold_v > hysteresis_v > 0):
+        raise ValueError("need threshold > hysteresis > 0")
+    rel = estimate_baseline(trace, baseline_window_s)
+    np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
+
+    below = rel < -threshold_v
+    above = rel > -(threshold_v - hysteresis_v)
+    down = np.nonzero(below[1:] & ~below[:-1])[0] + 1
+    up = np.nonzero(above[1:] & ~above[:-1])[0] + 1
+    if below[0]:
+        down = np.insert(down, 0, 0)
+
+    dt_us = 1e6 / trace.sample_rate_hz
+    captures = []
+    releases = []
+    pos = 0
+    while True:
+        j = np.searchsorted(down, pos)
+        if j >= down.size:
+            break
+        d = down[j]
+        k = np.searchsorted(up, d + 1)
+        if k >= up.size:
+            break  # event still open at end of trace
+        u = up[k]
+        if (u - d) * dt_us >= min_width_us:
+            captures.append(d * dt_us)
+            releases.append(u * dt_us)
+        pos = u + 1
+    return EventRecord(np.array(captures), np.array(releases), origins=None)

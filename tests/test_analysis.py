@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import match_events
+from oracles import detect_events_loop, match_events
 from spdsim import analysis, detsim
 from spdsim.analysis import (count_rate, detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
@@ -39,7 +41,35 @@ class TestBaseline:
             estimate_baseline(trace, window_s=0.01)
 
 
+@st.composite
+def threshold_traces(draw):
+    """Runs of samples below the 0.5 V threshold (-1.0, -0.6), in the 0.2 V
+    hysteresis band (-0.4) and above it (-0.2, 0), one to six samples long at
+    1 MS/s, around a block of zeros that sets the baseline. Runs may chatter
+    between any two levels; the trace may start and end below threshold."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([-1.0, -0.6, -0.4, -0.2, 0.0]),
+                                   st.integers(1, 6)), max_size=40))
+    runs.insert(draw(st.integers(0, len(runs))), (0.0, 8 + 6 * len(runs)))
+    if draw(st.booleans()):
+        runs.insert(0, (-1.0, draw(st.integers(1, 6))))
+    if draw(st.booleans()):
+        runs.append((-1.0, draw(st.integers(1, 6))))
+    samples = np.concatenate([np.full(n, v) for v, n in runs])
+    return detsim.TimeTrace(1e6, 0.0, samples)
+
+
 class TestDetectEvents:
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_traces(), st.sampled_from([0.0, 1.0, 2.0, 3.5]))
+    def test_matches_event_by_event_loop(self, trace, min_width_us):
+        if np.ptp(trace.samples) == 0:
+            return  # a constant trace has no baseline; both raise
+        window_s = trace.n_samples / trace.sample_rate_hz
+        found = detect_events(trace, 0.5, 0.2, min_width_us, window_s)
+        expected = detect_events_loop(trace, 0.5, 0.2, min_width_us, window_s)
+        assert np.array_equal(found.capture_times_us, expected.capture_times_us)
+        assert np.array_equal(found.release_times_us, expected.release_times_us)
+
     def test_clean_pulse_exactly_one_event(self):
         params = DetectorParams(step_amplitude_v=1.0, noise_sigma_v=0.0)
         record = EventRecord(np.array([5000.0]), np.array([5040.0]))

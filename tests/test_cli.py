@@ -194,6 +194,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match="absorptance_from_stack"):
             build_detector(cfg)
 
+    def test_stack_the_optics_cannot_solve_is_a_config_error(self):
+        layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
+        layers[5]["thickness_nm"] = 10_000.0  # finite BP absorptance, infinite T
+        cfg = load_config(overrides={"detector": {"absorptance_from_stack": True},
+                                     "stack": {"layers": layers}})
+        with np.errstate(all="ignore"), pytest.raises(
+                ConfigError, match="^detector.absorptance_from_stack: .* not finite"):
+            build_detector(cfg)
+
+    @pytest.mark.parametrize("block, key, value, ok", [
+        ("detector", "absorptance_from_stack", True, True),
+        ("detector", "absorptance_from_stack", 1, False),
+        ("detector", "max_occupancy", 2, True),
+        ("detector", "max_occupancy", 2.0, False),
+        ("detector", "max_occupancy", True, False),
+        ("run", "seed", 7, True),
+        ("run", "seed", 7.0, False),
+        ("source", "wavelength_nm", 1550, True),
+        ("source", "wavelength_nm", True, False),
+        ("source", "wavelength_nm", "1550", False),
+        ("source", "polarization", 30, True),
+        ("calibration", "power_tap_watts", 1, True)])
+    def test_each_default_types_its_key_without_converting(self, block, key, value, ok):
+        overrides = {block: {key: value}}
+        if not ok:
+            with pytest.raises(ConfigError, match=rf"^{block}\.{key}: expected "):
+                load_config(overrides=overrides)
+            return
+        loaded = load_config(overrides=overrides)[block][key]
+        assert loaded == value and type(loaded) is type(value)
+
+    def test_types_come_from_the_defaults_not_an_earlier_layer(self, tmp_path):
+        # The file's int wavelength and set tap power give those keys no new type.
+        path = write_cfg(tmp_path, {"source": {"wavelength_nm": 1550},
+                                    "calibration": {"power_tap_watts": 1e-9}})
+        cfg = load_config(path, {"source": {"wavelength_nm": 1549.5},
+                                  "calibration": {"power_tap_watts": None}})
+        assert cfg["source"]["wavelength_nm"] == 1549.5
+        assert cfg["calibration"]["power_tap_watts"] is None
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(MUTABLE_PATHS), WRONG_VALUES),
                     min_size=1, max_size=3))
@@ -265,6 +305,18 @@ class TestCliTmm:
                                            "bottom_range_nm": [80, 84],
                                            "step_nm": 0.1}})
         assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("au_nm", [10_000.0, 20_000.0])
+    @pytest.mark.parametrize("command, output", [("point", "response.json"), ("map", "map.csv")])
+    def test_stack_the_optics_cannot_solve_exits_2(self, tmp_path, capsys, command, output,
+                                                    au_nm):
+        layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
+        layers[5]["thickness_nm"] = au_nm  # the Au reflector
+        cfg = write_cfg(tmp_path, {"stack": {"layers": layers}, "tmm": {"step_nm": 50.0}})
+        with np.errstate(all="ignore"):
+            assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_unpolarized_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, {"tmm": {"axis": "unpolarized"}})

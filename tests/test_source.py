@@ -98,6 +98,13 @@ class TestPowerRelation:
             mean_photons_from_power(1e-18, 1550.0, 0.0)
 
 
+def test_pulse_count_ends_before_the_duration():
+    train = CoherentPulseTrain(1550.0, 1e4, 0.1)
+    assert train.pulse_count(1.0) == 10_000  # the pulse at t = 1 s is not in a 1 s run
+    assert train.pulse_count(2.5e-4) == 3
+    assert train.pulse_count(1e-9) == 1
+
+
 class TestChain:
     def train(self, n_bar=1e6, polarization=PulsePolarization.armchair()):
         return CoherentPulseTrain(1550.0, 1e4, n_bar, polarization)

@@ -168,6 +168,17 @@ class TestStackResponse:
         with pytest.raises(ValueError, match="lossless"):
             stack_response(stack, 1550.0)
 
+    @pytest.mark.parametrize("au_nm", [10_000.0, 20_000.0])
+    def test_overflowing_stack_raises_instead_of_inf_or_nan(self, au_nm):
+        # Im(delta) of 10 um of Au at 1550 nm is ~435: T comes out -inf and
+        # the absorptances below the Au NaN; at 20 um every number is NaN.
+        stack = device.device_stack()
+        layers = list(stack.layers)
+        assert layers[5].material.name == "au"
+        layers[5] = replace(layers[5], thickness_nm=au_nm)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            stack_response(replace(stack, layers=tuple(layers)), 1550.0, "unpolarized")
+
     def test_out_of_range_wavelength_propagates(self):
         with pytest.raises(ValueError, match="outside"):
             stack_response(device.device_stack(), 900.0)
