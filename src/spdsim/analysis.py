@@ -18,7 +18,7 @@ from .detsim import EventRecord, TimeTrace
 from .source import PowerReading
 
 
-def estimate_baseline(trace: TimeTrace, window_s: float = 0.01) -> np.ndarray:
+def estimate_baseline(trace: TimeTrace, window_s: float) -> np.ndarray:
     """Per-sample baseline: histogram mode of consecutive windows.
 
     The mode tracks the quiescent level even when a sizeable fraction of the

@@ -38,11 +38,9 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def _load_cfg(args, overrides=None):
-    merged = dict(overrides or {})
-    if getattr(args, "seed", None) is not None:
-        merged.setdefault("run", {})["seed"] = args.seed
-    return cfgmod.load_config(args.config, merged or None)
+def _load_cfg(args):
+    seed = getattr(args, "seed", None)
+    return cfgmod.load_config(args.config, None if seed is None else {"run": {"seed": seed}})
 
 
 def _response_payload(stack, resp, wavelength, axis):
@@ -63,13 +61,15 @@ def _response_payload(stack, resp, wavelength, axis):
 
 def cmd_tmm(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
     stack = cfgmod.build_stack(cfg)
     wavelength = float(cfg["tmm"]["wavelength_nm"])
     axis = cfg["tmm"]["axis"]
+    # Each command solves before `_out_dir`, so a stack the optics cannot solve
+    # leaves no directory behind.
 
     if args.tmm_command == "point":
         resp = tmm.stack_response(stack, wavelength, axis)
+        out = _out_dir(args, cfg)
         _write_json(out / "response.json", _response_payload(stack, resp, wavelength, axis))
         print(f"wrote {out / 'response.json'}")
         return 0
@@ -82,6 +82,7 @@ def cmd_tmm(args) -> int:
         tops, bottoms = tmm.thickness_grid(*top, step), tmm.thickness_grid(*bottom, step)
         error = np.empty((tops.size, bottoms.size))
         grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis, conservation_error=error)
+        out = _out_dir(args, cfg)
         lines = ["t_top_nm,t_bottom_nm,a_bp"] + [
             f"{t_top:.6g},{t_bot:.6g},{grid[i, j]:.10g}"
             for i, t_top in enumerate(tops) for j, t_bot in enumerate(bottoms)]
@@ -100,6 +101,7 @@ def cmd_tmm(args) -> int:
     if args.tmm_command == "optimize":
         opt = tmm.optimize_thicknesses(stack, top, bottom, wavelength, axis,
                                        coarse_step_nm=step)
+        out = _out_dir(args, cfg)
         _write_json(out / "optimum.json", {
             "wavelength_nm": wavelength, "axis": axis,
             "t_top_nm": opt.top_nm, "t_bottom_nm": opt.bottom_nm,
@@ -128,29 +130,6 @@ def cmd_source(args) -> int:
     return 0
 
 
-def _manifest(cfg, seed, shutter, source, extra=None) -> dict:
-    payload = {
-        "config": cfg,
-        "config_sha256": cfgmod.config_hash(cfg),
-        "seed": seed,
-        "shutter": shutter,
-        "source": {
-            "mean_photons": source.mean_photons,
-            "repetition_rate_hz": source.repetition_rate_hz,
-            "wavelength_nm": source.wavelength_nm,
-            "photon_flux_hz": source.photon_flux_hz,
-        },
-        "versions": {
-            "spdsim": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(str(v) for v in sys.version_info[:3]),
-        },
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     shutter_open = args.shutter != "closed"
@@ -171,7 +150,22 @@ def cmd_simulate(args) -> int:
     trace = detsim.synthesize_trace(events, params, trace_duration, sample_rate, streams[1])
     detsim.write_trace(trace, out / "trace")
 
-    _write_json(out / "manifest.json", _manifest(cfg, seed, args.shutter, source, extra={
+    _write_json(out / "manifest.json", {
+        "config": cfg,
+        "config_sha256": cfgmod.config_hash(cfg),
+        "seed": seed,
+        "shutter": args.shutter,
+        "source": {
+            "mean_photons": source.mean_photons,
+            "repetition_rate_hz": source.repetition_rate_hz,
+            "wavelength_nm": source.wavelength_nm,
+            "photon_flux_hz": source.photon_flux_hz,
+        },
+        "versions": {
+            "spdsim": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(str(v) for v in sys.version_info[:3]),
+        },
         "duration_s": duration,
         "expected": {
             "pulses": source.pulse_count(duration),
@@ -179,7 +173,7 @@ def cmd_simulate(args) -> int:
         },
         "counts": {"captures": events.n_captures, "detections": n_detections},
         "trace": {"duration_s": trace_duration, "sample_rate_hz": trace.sample_rate_hz},
-    }))
+    })
     print(f"wrote {out}: {n_detections} detections "
           f"({events.n_captures} captures) in {duration:g} s")
     return 0

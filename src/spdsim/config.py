@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -72,11 +73,12 @@ DEFAULT_CONFIG: dict[str, Any] = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
-# A bool, int or float default types its key, and an int also fits a float key.
-# No value is converted, so a file's `1550` keeps its bytes in the manifest.
+# A bool, int or float default types its key, and an int that `float()` can take
+# fits a float key. No value is converted: a file's `1550` keeps its bytes in the manifest.
 _TYPES = {bool: (lambda v: isinstance(v, bool), "true or false"),
           int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
           float: (_is_number, "a number")}
@@ -169,8 +171,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
              "analysis.threshold_v", "must exceed analysis.hysteresis_v")
     _require(cfg["analysis"]["min_width_us"] >= 0.0, "analysis.min_width_us", "must be >= 0.0")
 
-    _require(cfg["tmm"]["axis"] in ("armchair", "zigzag", "unpolarized"),
-             "tmm.axis", "must be armchair, zigzag, or unpolarized")
+    _require(cfg["tmm"]["axis"] in list(materials.Polarization), "tmm.axis",
+             "must be one of " + ", ".join(materials.Polarization))
     for rng_key in ("top_range_nm", "bottom_range_nm"):
         rng = cfg["tmm"][rng_key]
         _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))

@@ -17,6 +17,8 @@ One kernel serves the point response, maps and the optimizer: it takes one
 thickness per layer, scalar or array, and evaluates every 2x2 product and
 flux element-wise, so a map (spacers as a column and a row) costs one pass
 over the layers (Byrnes, "Multilayer optical calculations", arXiv:1603.02720).
+The optimizer is two such maps: a coarse one over the bounds, then one 100x
+finer around its best cell.
 
 The in-plane anisotropy of the absorber is handled as two decoupled scalar
 problems (armchair axis, zigzag axis), valid at normal incidence with the
@@ -31,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import AIR, MaterialDispersion, Polarization, index_at
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ def _layer_terms(material: MaterialDispersion, thickness_nm, wavelength_nm: floa
     return np.cos(delta), 1j * sin_d / eta, 1j * eta * sin_d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the finite check below
 def _transfer(stack: LayerStack, wavelength_nm: float, axis: Polarization,
               thicknesses) -> tuple:
     """(R, T, [A per layer]) broadcast over one thickness (scalar or array) per
@@ -198,24 +199,6 @@ def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thickn
     return np.broadcast_to(a[i_abs], (tops.size, bottoms.size)).copy()
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-3) -> tuple[float, float]:
-    """Maximize `fun` on [lo, hi]; returns (x_best, f_best)."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 @dataclass(frozen=True)
 class ThicknessOptimum:
     top_nm: float
@@ -229,40 +212,27 @@ def optimize_thicknesses(stack_template: LayerStack,
                          wavelength_nm: float,
                          axis: Polarization | str = Polarization.ARMCHAIR,
                          coarse_step_nm: float = 2.0,
-                         refine_tol_nm: float = 1e-2,
                          sweep_layers: tuple[int, int, int] | None = None) -> ThicknessOptimum:
     """Maximize absorber absorptance over the two spacer thicknesses.
 
-    Coarse grid search at `coarse_step_nm` resolution, then alternating
-    golden-section refinement on each coordinate around the best cell. The
-    result is always >= the best coarse-grid value.
+    A map at `coarse_step_nm` over the bounds, then a map at a hundredth of
+    that step over the best coarse cell +- one coarse step, clipped to the
+    bounds. The result is the finer map's best cell, never below the best
+    coarse cell.
     """
-    axis = Polarization(axis)
     for lo, hi in (top_bounds_nm, bottom_bounds_nm):
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < lo:
             raise ValueError("bounds must be finite, nonnegative and ordered")
-    i_top, i_bottom, i_abs = sweep_layers = sweep_layers or locate_sweep_layers(stack_template)
+    sweep_layers = sweep_layers or locate_sweep_layers(stack_template)
     bounds = (top_bounds_nm, bottom_bounds_nm)
 
-    tops, bottoms = (thickness_grid(lo, hi, coarse_step_nm) for lo, hi in bounds)
-    coarse = absorption_map(stack_template, tops, bottoms, wavelength_nm, axis, sweep_layers)
-    a, b = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
-    best, best_val = [float(tops[a]), float(bottoms[b])], float(coarse[a, b])
+    def best_cell(grids) -> ThicknessOptimum:
+        values = absorption_map(stack_template, *grids, wavelength_nm, axis, sweep_layers)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        return ThicknessOptimum(float(grids[0][i]), float(grids[1][j]), float(values[i, j]))
 
-    thicknesses = [lay.thickness_nm for lay in stack_template.layers]
-
-    def evaluate(k, t):
-        point = list(best)
-        point[k] = t
-        thicknesses[i_top], thicknesses[i_bottom] = point
-        return float(_transfer(stack_template, wavelength_nm, axis, thicknesses)[2][i_abs])
-
-    for _ in range(2):
-        for k, (lo_bound, hi_bound) in enumerate(bounds):
-            lo = max(lo_bound, best[k] - coarse_step_nm)
-            hi = min(hi_bound, best[k] + coarse_step_nm)
-            if hi > lo:
-                x, fx = _golden_section(lambda t: evaluate(k, t), lo, hi, refine_tol_nm)
-                if fx > best_val:
-                    best[k], best_val = x, fx
-    return ThicknessOptimum(best[0], best[1], best_val)
+    coarse = best_cell([thickness_grid(lo, hi, coarse_step_nm) for lo, hi in bounds])
+    fine = best_cell([thickness_grid(max(lo, t - coarse_step_nm), min(hi, t + coarse_step_nm),
+                                     coarse_step_nm / 100)
+                      for (lo, hi), t in zip(bounds, (coarse.top_nm, coarse.bottom_nm))])
+    return fine if fine.absorptance > coarse.absorptance else coarse

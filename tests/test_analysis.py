@@ -33,7 +33,7 @@ class TestBaseline:
     def test_constant_trace_rejected(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100_000))
         with pytest.raises(ValueError, match="degenerate"):
-            estimate_baseline(trace)
+            estimate_baseline(trace, window_s=0.01)
 
     def test_short_trace_rejected(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(0).normal(size=100))

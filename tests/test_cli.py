@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,16 +308,26 @@ class TestCliTmm:
         assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 0
 
     @pytest.mark.parametrize("au_nm", [10_000.0, 20_000.0])
-    @pytest.mark.parametrize("command, output", [("point", "response.json"), ("map", "map.csv")])
+    @pytest.mark.parametrize("command, output", [("point", "response.json"), ("map", "map.csv"),
+                                                 ("optimize", "optimum.json")])
     def test_stack_the_optics_cannot_solve_exits_2(self, tmp_path, capsys, command, output,
                                                     au_nm):
         layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
         layers[5]["thickness_nm"] = au_nm  # the Au reflector
         cfg = write_cfg(tmp_path, {"stack": {"layers": layers}, "tmm": {"step_nm": 50.0}})
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
             assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 2
-        assert "not finite" in capsys.readouterr().err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert capsys.readouterr().err == (
+            "error: R, T or A not finite at 1550 nm; is a layer too thick?\n")
+        assert not (tmp_path / "o").exists(), f"no {output}, and no directory for it"
+
+    def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"source": {"wavelength_nm": 10 ** 400}})
+        assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: source.wavelength_nm: expected a number, got 1000")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     def test_unpolarized_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, {"tmm": {"axis": "unpolarized"}})

@@ -328,6 +328,24 @@ class TestOptimize:
         no_top_baseline = grid[0].max()  # the t_top = 0 map edge
         assert opt.absorptance > no_top_baseline
 
+    def test_lands_on_dense_map_maximum(self):
+        # A 0.005 nm map of +-0.2 nm around the optimum: the optimum lies within
+        # 0.05 nm of its argmax, and is the best of the map's cells that fall on
+        # the optimizer's fine lattice (coarse step / 100). At 2 nm that lattice
+        # holds the argmax itself.
+        stack = device.device_stack()
+        for step in (2.0, 4.0, 8.0):
+            opt = optimize_thicknesses(stack, (0.0, 400.0), (0.0, 400.0), 1550.0,
+                                       coarse_step_nm=step)
+            tops = thickness_grid(opt.top_nm - 0.2, opt.top_nm + 0.2, 0.005)
+            bottoms = thickness_grid(opt.bottom_nm - 0.2, opt.bottom_nm + 0.2, 0.005)
+            assert abs(tops[40] - opt.top_nm) < 1e-9 and abs(bottoms[40] - opt.bottom_nm) < 1e-9
+            dense = absorption_map(stack, tops, bottoms, 1550.0)
+            i, j = np.unravel_index(int(np.argmax(dense)), dense.shape)
+            assert abs(tops[i] - opt.top_nm) <= 0.05 and abs(bottoms[j] - opt.bottom_nm) <= 0.05
+            k = round(step / 100 / 0.005)  # the fine step in dense cells
+            assert opt.absorptance >= dense[40 % k::k, 40 % k::k].max() - 1e-12
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             optimize_thicknesses(device.device_stack(), (10.0, 5.0), (0.0, 10.0), 1550.0)
