@@ -14,4 +14,14 @@ Subpackages map onto the stages of the physical experiment:
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+
+def _physical_memory_bytes() -> int | None:
+    """Total physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None

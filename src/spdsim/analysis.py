@@ -18,13 +18,15 @@ from .detsim import EventRecord, TimeTrace
 from .source import PowerReading
 
 
-def estimate_baseline(trace: TimeTrace, window_s: float) -> np.ndarray:
-    """Per-sample baseline: histogram mode of consecutive windows.
+def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(start index, histogram mode) of each consecutive baseline window.
 
-    The mode tracks the quiescent level even when a sizeable fraction of the
-    window sits at depressed occupancy levels. Slow drift is followed at the
-    window granularity. Raises for constant traces and traces shorter than
-    one window.
+    Window i runs from starts[i] to the next start, the last one to the end
+    of the trace; a tail shorter than half a window is folded into the
+    window before it. The mode tracks the quiescent level even when a
+    sizeable fraction of the window sits at depressed occupancy levels. Slow
+    drift is followed at the window granularity. Raises for constant traces
+    and traces shorter than one window.
     """
     n = trace.n_samples
     w = int(round(window_s * trace.sample_rate_hz))
@@ -35,17 +37,15 @@ def estimate_baseline(trace: TimeTrace, window_s: float) -> np.ndarray:
     if np.ptp(trace.samples) == 0:
         raise ValueError("degenerate trace: constant signal")
 
-    baseline = np.empty(n)
-    starts = list(range(0, n, w))
-    if len(starts) > 1 and n - starts[-1] < w // 2:
-        starts.pop()  # fold a short tail into the previous window
-    for i, start in enumerate(starts):
-        stop = starts[i + 1] if i + 1 < len(starts) else n
-        chunk = trace.samples[start:stop]
-        counts, edges = np.histogram(chunk, bins=101)
-        mode = 0.5 * (edges[np.argmax(counts)] + edges[np.argmax(counts) + 1])
-        baseline[start:stop] = mode
-    return baseline
+    starts = np.arange(0, n, w)
+    if starts.size > 1 and n - starts[-1] < w // 2:
+        starts = starts[:-1]  # fold a short tail into the previous window
+    modes = np.empty(starts.size)
+    for i, (start, stop) in enumerate(zip(starts, np.append(starts[1:], n))):
+        counts, edges = np.histogram(trace.samples[start:stop], bins=101)
+        k = np.argmax(counts)
+        modes[i] = 0.5 * (edges[k] + edges[k + 1])
+    return starts, modes
 
 
 def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
@@ -59,12 +59,22 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     """
     if not (threshold_v > hysteresis_v > 0):
         raise ValueError("need threshold > hysteresis > 0")
-    rel = estimate_baseline(trace, baseline_window_s)
-    np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
+    starts, modes = estimate_baseline(trace, baseline_window_s)
 
-    # One full-length mask at a time: the peak is `rel` plus two masks.
-    down = _turns_true(rel < -threshold_v)
-    up = _turns_true(rel > -(threshold_v - hysteresis_v))
+    # One baseline window at a time: the scratch is a window's samples minus
+    # its mode and one mask, whatever the trace length. Each mask carries its
+    # last value into the next window, so a turn on a window edge counts once.
+    downs, ups = [], []
+    below = above = False
+    for start, stop, mode in zip(starts, np.append(starts[1:], trace.n_samples), modes):
+        rel = trace.samples[start:stop] - mode
+        mask = rel < -threshold_v
+        downs.append(_turns_true(mask, below) + start)
+        below = bool(mask[-1])
+        mask = rel > -(threshold_v - hysteresis_v)
+        ups.append(_turns_true(mask, above) + start)
+        above = bool(mask[-1])
+    down, up = np.concatenate(downs), np.concatenate(ups)
     # A capture pairs with the first release after it. No sample is both below
     # and above, so the captures between an accepted one and its release share
     # it: keep the first per release. The rest are events open at the end.
@@ -76,10 +86,11 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     return EventRecord(d[wide] * dt_us, u[wide] * dt_us, origins=None)
 
 
-def _turns_true(mask: np.ndarray) -> np.ndarray:
-    """Indices where `mask` turns true, led by 0 when it starts true."""
+def _turns_true(mask: np.ndarray, before: bool) -> np.ndarray:
+    """Indices where `mask` turns true; 0 among them when it starts true after
+    a false `before`, the value that precedes it."""
     idx = np.flatnonzero(mask[1:] > mask[:-1]) + 1
-    return np.insert(idx, 0, 0) if mask[0] else idx
+    return np.insert(idx, 0, 0) if mask[0] and not before else idx
 
 
 @dataclass

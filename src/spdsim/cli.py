@@ -80,6 +80,7 @@ def cmd_tmm(args) -> int:
 
     if args.tmm_command == "map":
         tops, bottoms = tmm.thickness_grid(*top, step), tmm.thickness_grid(*bottom, step)
+        tmm.check_map(tops.size, bottoms.size)  # before the error array
         error = np.empty((tops.size, bottoms.size))
         grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis, conservation_error=error)
         out = _out_dir(args, cfg)

@@ -31,16 +31,16 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import _physical_memory_bytes
 from .source import CoherentPulseTrain, PulsePolarization
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
-_EDGE_BLOCK_SAMPLES = 1 << 17  # edge samples rendered per block in synthesize_trace
+_BLOCK_SAMPLES = 1 << 16  # edge or noise samples rendered per block in synthesize_trace
 # Peak bytes per candidate capture in `simulate` when every candidate is
 # accepted: candidate times, sort order and dwells, the walk's index list and
 # the record (35 bytes when the dead time blocks nearly all of them).
@@ -195,14 +195,6 @@ def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
     return kept
 
 
-def _physical_memory_bytes() -> int | None:
-    """Total physical memory, or None where the OS does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: float,
              seed: int | np.random.SeedSequence) -> EventRecord:
     """Run one detection-cycle trial; deterministic for a given seed.
@@ -259,7 +251,9 @@ class TimeTrace:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
-        if not np.all(np.isfinite(self.samples)):
+        # min and max carry any NaN or inf, and need no per-sample scratch
+        if self.samples.size and not (np.isfinite(self.samples.min())
+                                      and np.isfinite(self.samples.max())):
             raise ValueError("trace contains non-finite samples")
 
     @property
@@ -273,17 +267,17 @@ class TimeTrace:
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
     """Sample count of a `synthesize_trace` trace; raises ValueError, before
-    anything is allocated, for a nonpositive duration, two float64 buffers
+    anything is allocated, for a nonpositive duration, a float64 sample array
     beyond physical memory, or a sample rate too slow for the edges."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate_hz))
-    need = 2 * 8 * n
+    need = 8 * n
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise ValueError(
             f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz) needs "
-            f"{need} bytes of float64 buffers; this machine has {memory} bytes")
+            f"{need} bytes of float64 samples; this machine has {memory} bytes")
     for edge in (params.fall_time_us, params.rise_time_us):
         if edge > 0 and sample_rate_hz < 10.0 / (edge * 1e-6):
             raise ValueError(
@@ -298,10 +292,12 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
 
     Level = baseline - step_amplitude * occupancy, with exponential edges on
     every transition (superposed, so overlapping events stack) plus white
-    Gaussian noise. At most two float64 arrays of the trace's length are
-    alive at once; `check_trace` rejects a trace that cannot be rendered.
-    Edges are rendered in blocks of at most `_EDGE_BLOCK_SAMPLES` samples, so
-    their scratch arrays stay within a few MB whatever the event count.
+    Gaussian noise. The returned samples are the only float64 array of the
+    trace's length; `check_trace` rejects a trace that cannot be rendered.
+    Edges and noise are rendered in blocks of at most `_BLOCK_SAMPLES`
+    samples, so their scratch arrays stay within a few MB whatever the trace
+    length and the event count. The noise blocks are drawn in order from one
+    generator, so they join into the stream of a single full-length draw.
     """
     n = check_trace(params, duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
@@ -317,12 +313,11 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
         inside = starts < n
         transitions.append((starts[inside], times[inside], sign, edge))
 
-    # Piecewise-constant occupancy on the sample grid.
-    jump = np.zeros(n + 1)
+    # Piecewise-constant occupancy on the sample grid: the steps, summed in place.
+    level = np.zeros(n)
     for starts, _, sign, _ in transitions:
-        np.add.at(jump, starts, sign)
-    level = np.cumsum(jump[:n])  # occupancy, turned into volts in place
-    del jump
+        np.add.at(level, starts, sign)
+    np.cumsum(level, out=level)  # occupancy, turned into volts in place
     level *= -step
     level += params.baseline_v
 
@@ -335,7 +330,7 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
         tau = edge / LN9  # single-exponential edge: its 10-90% span is exactly `edge`
         span = int(math.ceil(27.7 * tau / dt_us)) + 1
         offsets = np.arange(span)
-        rows = max(1, _EDGE_BLOCK_SAMPLES // span)
+        rows = max(1, _BLOCK_SAMPLES // span)
         for lo in range(0, starts.size, rows):
             idx = starts[lo:lo + rows, None] + offsets
             vals = sign * step * np.exp(-(idx * dt_us - times[lo:lo + rows, None]) / tau)
@@ -343,7 +338,9 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
             np.add.at(level, idx[ok], vals[ok])
 
     if params.noise_sigma_v > 0:
-        level += rng.normal(0.0, params.noise_sigma_v, size=n)
+        for lo in range(0, n, _BLOCK_SAMPLES):
+            hi = min(n, lo + _BLOCK_SAMPLES)
+            level[lo:hi] += rng.normal(0.0, params.noise_sigma_v, size=hi - lo)
     return TimeTrace(sample_rate_hz, params.baseline_v, level)
 
 

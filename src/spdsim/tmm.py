@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _physical_memory_bytes
 from .materials import AIR, MaterialDispersion, Polarization, index_at
+
+# Peak bytes per cell of `absorption_map` with its conservation error, measured
+# with tracemalloc on the default stack: 288 unpolarized, 208 along one axis.
+_CELL_BYTES = 290
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,17 @@ def thickness_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.append(pts[hi - pts > 1e-9 * step], hi)
 
 
+def check_map(n_top: int, n_bottom: int) -> None:
+    """Raise ValueError, before anything of the grid's size is allocated, when
+    a map of n_top x n_bottom cells at `_CELL_BYTES` each exceeds physical memory."""
+    cells = n_top * n_bottom
+    memory = _physical_memory_bytes()
+    if memory is not None and cells * _CELL_BYTES > memory:
+        raise ValueError(
+            f"{n_top}x{n_bottom} thickness map has {cells} cells, which need "
+            f"{cells * _CELL_BYTES:.4g} bytes; this machine has {memory} bytes")
+
+
 def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:
     """(top spacer, bottom spacer, absorber) layer indices of a device-like stack.
 
@@ -177,7 +193,8 @@ def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thickn
 
     Returns an array of shape (len(top), len(bottom)); rows follow the top
     grid, columns the bottom grid. If `conservation_error` is an array of
-    that shape, it receives |1 - R - T - sum(A)| of every cell.
+    that shape, it receives |1 - R - T - sum(A)| of every cell. A grid that
+    `check_map` finds too large for physical memory raises ValueError.
     """
     axis = Polarization(axis)
     tops = np.asarray(top_thicknesses_nm, dtype=float)
@@ -189,6 +206,7 @@ def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thickn
             raise ValueError(f"{label} thickness grid must be strictly increasing")
         if grid[0] < 0:
             raise ValueError(f"{label} thickness grid: negative thickness")
+    check_map(tops.size, bottoms.size)
     i_top, i_bottom, i_abs = sweep_layers or locate_sweep_layers(stack_template)
 
     thicknesses = [lay.thickness_nm for lay in stack_template.layers]

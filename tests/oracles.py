@@ -191,7 +191,8 @@ def detect_events_loop(trace: TimeTrace, threshold_v: float, hysteresis_v: float
     """
     if not (threshold_v > hysteresis_v > 0):
         raise ValueError("need threshold > hysteresis > 0")
-    rel = estimate_baseline(trace, baseline_window_s)
+    starts, modes = estimate_baseline(trace, baseline_window_s)
+    rel = np.repeat(modes, np.diff(starts, append=trace.n_samples))  # per-sample baseline
     np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
 
     below = rel < -threshold_v

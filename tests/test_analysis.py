@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,16 @@ class TestBaseline:
         n = 200_000
         drift = np.linspace(0.0, 0.4, n)
         trace = detsim.TimeTrace(fs, 0.0, drift + rng.normal(0, 0.02, n))
-        baseline = estimate_baseline(trace, window_s=0.01)
+        starts, modes = estimate_baseline(trace, window_s=0.01)
+        assert starts.tolist() == list(range(0, n, 10_000))
+        baseline = np.repeat(modes, np.diff(starts, append=n))
         assert np.max(np.abs(baseline - drift)) < 0.05
+
+    def test_short_tail_folds_into_last_window(self):
+        trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(1).normal(size=24_000))
+        starts, modes = estimate_baseline(trace, window_s=0.01)
+        assert starts.tolist() == [0, 10_000]  # the 4000-sample tail joins the second
+        assert modes.shape == starts.shape
 
     def test_constant_trace_rejected(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100_000))
@@ -60,11 +69,15 @@ def threshold_traces(draw):
 
 class TestDetectEvents:
     @settings(max_examples=300, deadline=None)
-    @given(threshold_traces(), st.sampled_from([0.0, 1.0, 2.0, 3.5]))
-    def test_matches_event_by_event_loop(self, trace, min_width_us):
+    @given(threshold_traces(), st.sampled_from([0.0, 1.0, 2.0, 3.5]), st.data())
+    def test_matches_event_by_event_loop(self, trace, min_width_us, data):
         if np.ptp(trace.samples) == 0:
             return  # a constant trace has no baseline; both raise
-        window_s = trace.n_samples / trace.sample_rate_hz
+        # Windows from 8 samples to the whole trace, so runs straddle window
+        # edges and each window subtracts its own mode.
+        n = trace.n_samples
+        window = data.draw(st.one_of(st.integers(8, min(16, n)), st.integers(8, n)))
+        window_s = window / trace.sample_rate_hz
         found = detect_events(trace, 0.5, 0.2, min_width_us, window_s)
         expected = detect_events_loop(trace, 0.5, 0.2, min_width_us, window_s)
         assert np.array_equal(found.capture_times_us, expected.capture_times_us)
@@ -100,6 +113,38 @@ class TestDetectEvents:
         trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(0).normal(size=20_000))
         with pytest.raises(ValueError):
             detect_events(trace, threshold_v=0.1, hysteresis_v=0.2, min_width_us=1.0)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes numpy and Python allocated while `fn` ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceMemory:
+    """The trace path keeps one float64 array as long as the trace alive."""
+
+    n = 2_000_000  # 0.2 s at 10 MS/s
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        rng = np.random.default_rng(6)
+        captures = np.sort(rng.uniform(0.0, 2e5, 2000))  # about the trace workload's event rate
+        return EventRecord(captures, captures + rng.exponential(10.0, captures.size))
+
+    def test_synthesize_trace_peak_is_one_sample_array(self, record):
+        trace, peak = traced_peak(synthesize_trace, record, DetectorParams(), 0.2, 1e7, 3)
+        assert trace.n_samples == self.n
+        assert peak <= 1.25 * 8 * self.n
+
+    def test_detect_events_scratch_is_window_sized(self, record):
+        trace = synthesize_trace(record, DetectorParams(), 0.2, 1e7, 3)
+        found, peak = traced_peak(detect_events, trace, 0.5, 0.2, 1.0)  # 0.01 s windows
+        assert found.n_captures > 1000
+        assert peak <= 0.25 * 8 * self.n  # beyond the samples, allocated before tracing
 
 
 class TestOccupationHistogram:

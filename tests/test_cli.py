@@ -322,6 +322,16 @@ class TestCliTmm:
             "error: R, T or A not finite at 1550 nm; is a layer too thick?\n")
         assert not (tmp_path / "o").exists(), f"no {output}, and no directory for it"
 
+    @pytest.mark.parametrize("command", ["map", "optimize"])
+    def test_grid_beyond_memory_exits_2_without_output(self, tmp_path, capsys, command):
+        # 0-400 nm at 1e-4 nm on both spacers: 4000001**2 cells, 290 bytes each
+        cfg = write_cfg(tmp_path, {"tmm": {"step_nm": 0.0001}})
+        assert run_cli("tmm", command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 4000001x4000001 thickness map has 16000008000001 cells, "
+                              "which need 4.64e+15 bytes; this machine has ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
     def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"source": {"wavelength_nm": 10 ** 400}})
         assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "o") == 2

@@ -239,7 +239,7 @@ def trace_cases(draw):
                             noise_sigma_v=draw(st.sampled_from([0.0, 0.05])),
                             step_amplitude_v=draw(st.floats(0.1, 2.0)),
                             baseline_v=draw(st.floats(-1.0, 1.0)))
-    block = draw(st.sampled_from([1, 300, detsim._EDGE_BLOCK_SAMPLES]))
+    block = draw(st.sampled_from([1, 300, detsim._BLOCK_SAMPLES]))
     return EventRecord(captures, captures + dwells), params, duration_s, block
 
 
@@ -259,7 +259,7 @@ class TestArrayFormsMatchLoops:
     @given(trace_cases(), st.integers(0, 2**32 - 1))
     def test_trace_samples(self, case, seed):
         record, params, duration_s, block = case
-        with mock.patch.object(detsim, "_EDGE_BLOCK_SAMPLES", block):
+        with mock.patch.object(detsim, "_BLOCK_SAMPLES", block):
             got = synthesize_trace(record, params, duration_s, 1e7, seed)
         want = synthesize_trace_loop(record, params, duration_s, 1e7, seed)
         assert got.samples.tobytes() == want.samples.tobytes()
