@@ -27,6 +27,9 @@ def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np
     sizeable fraction of the window sits at depressed occupancy levels. Slow
     drift is followed at the window granularity. Raises for constant traces
     and traces shorter than one window.
+
+    The mode is that of `np.histogram(window, bins=101)`, bin for bin, binned
+    in one window-sized scratch that the call allocates once.
     """
     n = trace.n_samples
     w = int(round(window_s * trace.sample_rate_hz))
@@ -34,18 +37,51 @@ def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np
         raise ValueError("baseline window must span at least 8 samples")
     if n < w:
         raise ValueError(f"trace ({n} samples) shorter than baseline window ({w})")
-    if np.ptp(trace.samples) == 0:
-        raise ValueError("degenerate trace: constant signal")
 
     starts = np.arange(0, n, w)
     if starts.size > 1 and n - starts[-1] < w // 2:
         starts = starts[:-1]  # fold a short tail into the previous window
+    stops = np.append(starts[1:], n)
+    size = int(np.max(stops - starts))
+    scratch = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
     modes = np.empty(starts.size)
-    for i, (start, stop) in enumerate(zip(starts, np.append(starts[1:], n))):
-        counts, edges = np.histogram(trace.samples[start:stop], bins=101)
-        k = np.argmax(counts)
-        modes[i] = 0.5 * (edges[k] + edges[k + 1])
+    lows, highs = np.empty(starts.size), np.empty(starts.size)
+    for i, (start, stop) in enumerate(zip(starts, stops)):
+        modes[i], lows[i], highs[i] = _mode(trace.samples[start:stop], scratch)
+    if lows.min() == highs.max():
+        raise ValueError("degenerate trace: constant signal")
+    if np.isnan(modes).any():  # np.histogram's error
+        raise ValueError("Too many bins for data range. Cannot create 101 finite-sized bins.")
     return starts, modes
+
+
+def _mode(window: np.ndarray, scratch) -> tuple[float, float, float]:
+    """(centre of the fullest bin, min, max) of `np.histogram(window, bins=101)`;
+    the centre is NaN where np.histogram raises for too narrow a range.
+
+    numpy's equal-bin steps, in its order and its float operations, written
+    into the (float, intp, bool) `scratch`, each at least the window's size.
+    """
+    f, idx, mask = (buf[:window.size] for buf in scratch)
+    a_min, a_max = window.min(), window.max()
+    lo, hi = (a_min - 0.5, a_max + 0.5) if a_min == a_max else (a_min, a_max)
+    edges = np.linspace(lo, hi, 102)
+    if np.any(edges[:-1] >= edges[1:]):
+        return math.nan, a_min, a_max  # the range is too narrow for 101 bins
+    upper = np.append(edges[1:-1], np.inf)  # the last bin includes its right edge
+    np.subtract(window, lo, out=f)
+    f /= hi - lo
+    f *= 101
+    np.copyto(idx, f, casting="unsafe")  # truncates, as astype(np.intp)
+    np.minimum(idx, 100, out=idx)  # the maximum lands on the last bin
+    # The index is good to ~1 ulp at the edges; numpy corrects it downward,
+    # then upward.
+    np.less(window, np.take(edges, idx, out=f, mode="clip"), out=mask)
+    idx -= mask
+    np.greater_equal(window, np.take(upper, idx, out=f, mode="clip"), out=mask)
+    idx += mask
+    k = int(np.argmax(np.bincount(idx, minlength=101)))
+    return 0.5 * (edges[k] + edges[k + 1]), a_min, a_max
 
 
 def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
@@ -56,22 +92,27 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     matching release fires when it climbs back above
     baseline - (threshold - hysteresis). Events narrower than `min_width_us`
     are discarded, as is an event still open at the end of the trace.
+    Thresholding runs one baseline window at a time, in one relative-voltage
+    buffer and one mask allocated at the largest window's size.
     """
     if not (threshold_v > hysteresis_v > 0):
         raise ValueError("need threshold > hysteresis > 0")
     starts, modes = estimate_baseline(trace, baseline_window_s)
+    stops = np.append(starts[1:], trace.n_samples)
 
-    # One baseline window at a time: the scratch is a window's samples minus
-    # its mode and one mask, whatever the trace length. Each mask carries its
-    # last value into the next window, so a turn on a window edge counts once.
+    # Each mask carries its last value into the next window, so a turn on a
+    # window edge counts once.
+    size = int(np.max(stops - starts))
+    rel_buf, mask_buf = np.empty(size), np.empty(size, dtype=bool)
     downs, ups = [], []
     below = above = False
-    for start, stop, mode in zip(starts, np.append(starts[1:], trace.n_samples), modes):
-        rel = trace.samples[start:stop] - mode
-        mask = rel < -threshold_v
+    for start, stop, mode in zip(starts, stops, modes):
+        rel, mask = rel_buf[:stop - start], mask_buf[:stop - start]
+        np.subtract(trace.samples[start:stop], mode, out=rel)
+        np.less(rel, -threshold_v, out=mask)
         downs.append(_turns_true(mask, below) + start)
         below = bool(mask[-1])
-        mask = rel > -(threshold_v - hysteresis_v)
+        np.greater(rel, -(threshold_v - hysteresis_v), out=mask)
         ups.append(_turns_true(mask, above) + start)
         above = bool(mask[-1])
     down, up = np.concatenate(downs), np.concatenate(ups)

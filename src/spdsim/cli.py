@@ -116,12 +116,12 @@ def cmd_tmm(args) -> int:
 
 def cmd_source(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
     reading = cfgmod.build_power_reading(cfg)
     chain = cfgmod.build_chain(cfg["calibration"]["post_tap_chain"])
     result = calibrate_flux(reading, float(cfg["calibration"]["tap_fraction"]), chain,
                             float(cfg["source"]["wavelength_nm"]),
                             float(cfg["source"]["repetition_rate_hz"]))
+    out = _out_dir(args, cfg)
     _write_json(out / "calibration.json", {
         "n_bar": result.n_bar,
         "n_bar_sigma": result.n_bar_sigma,
@@ -194,8 +194,9 @@ def _run_detections(run_dir: Path) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
     ana = cfg["analysis"]
+    # Each analysis reads and computes before `_out_dir`, so bad input leaves
+    # no directory behind.
 
     if args.analyze_command == "trace":
         if args.trace is None:
@@ -205,7 +206,6 @@ def cmd_analyze(args) -> int:
                                         float(ana["hysteresis_v"]),
                                         float(ana["min_width_us"]),
                                         float(ana["baseline_window_s"]))
-        detsim.write_events_csv(events, out / "detected_events.csv")
         payload = {"n_events": events.n_captures,
                    "duration_s": trace.duration_s,
                    "rate_hz": events.n_captures / trace.duration_s}
@@ -215,6 +215,8 @@ def cmd_analyze(args) -> int:
                                 "n_measured": n_used}
         except ValueError:
             payload["edges"] = None
+        out = _out_dir(args, cfg)
+        detsim.write_events_csv(events, out / "detected_events.csv")
         _write_json(out / "trace_analysis.json", payload)
         print(f"wrote {out / 'detected_events.csv'}: {events.n_captures} events")
         return 0
@@ -242,6 +244,7 @@ def cmd_analyze(args) -> int:
                 f"{result.photon_flux_hz:.10g},{result.counts_light},{result.counts_dark},"
                 f"{result.duration_s:.10g},{result.eqe:.10g},{result.eqe_sigma:.10g},"
                 f"{int(result.negative_after_subtraction)}")
+        out = _out_dir(args, cfg)
         (out / "counting.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out / 'counting.csv'} ({len(lines) - 1} rows)")
         return 0
@@ -266,6 +269,7 @@ def cmd_analyze(args) -> int:
             raise SystemExit(f"analyze sweep: run durations differ: {sorted(durations)} s; "
                              "the slope needs equal exposure")
         fit = analysis.eqe_from_frequency_sweep(points, n_bars.pop(), durations.pop())
+        out = _out_dir(args, cfg)
         _write_json(out / "fit.json", {
             "points": [{"repetition_rate_hz": f, "counts": c} for f, c in points],
             "slope_counts_per_hz": fit.slope,

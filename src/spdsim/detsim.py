@@ -286,6 +286,22 @@ def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float
     return n
 
 
+def _piecewise_level(transitions, n: int, step: float, baseline_v: float) -> np.ndarray:
+    """baseline - step * occupancy on `n` samples, from `synthesize_trace`'s
+    (start sample, time, sign, edge) transitions, built as runs: one per
+    sample where transitions start, holding the sum of their signs. The sums
+    are exact integers, so the runs hold a per-sample cumsum's values. A
+    function of its own, so the runs are freed before the edges are drawn."""
+    at = np.concatenate([starts for starts, *_ in transitions])
+    run_starts, run_of = np.unique(at, return_inverse=True)
+    signs = np.concatenate([np.full(starts.size, sign) for starts, _, sign, _ in transitions])
+    volts = np.zeros(run_starts.size + 1)  # [0] holds the run before any transition
+    np.cumsum(np.bincount(run_of, weights=signs, minlength=run_starts.size), out=volts[1:])
+    volts *= -step  # occupancy, turned into volts in place
+    volts += baseline_v
+    return np.repeat(volts, np.diff(run_starts, prepend=0, append=n))
+
+
 def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
                      sample_rate_hz: float, seed: int | np.random.SeedSequence) -> TimeTrace:
     """Render the occupancy ledger as a noisy voltage trace.
@@ -294,7 +310,9 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
     every transition (superposed, so overlapping events stack) plus white
     Gaussian noise. The returned samples are the only float64 array of the
     trace's length; `check_trace` rejects a trace that cannot be rendered.
-    Edges and noise are rendered in blocks of at most `_BLOCK_SAMPLES`
+    The level is built as runs, one per sample on which transitions start,
+    and written into the samples by one `np.repeat`; the edges and the
+    noise are then added to it in blocks of at most `_BLOCK_SAMPLES`
     samples, so their scratch arrays stay within a few MB whatever the trace
     length and the event count. The noise blocks are drawn in order from one
     generator, so they join into the stream of a single full-length draw.
@@ -313,13 +331,7 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
         inside = starts < n
         transitions.append((starts[inside], times[inside], sign, edge))
 
-    # Piecewise-constant occupancy on the sample grid: the steps, summed in place.
-    level = np.zeros(n)
-    for starts, _, sign, _ in transitions:
-        np.add.at(level, starts, sign)
-    np.cumsum(level, out=level)  # occupancy, turned into volts in place
-    level *= -step
-    level += params.baseline_v
+    level = _piecewise_level(transitions, n, step, params.baseline_v)
 
     # Exponential transients restore continuity at each transition and decay
     # toward the new level. Windows are truncated once exp < 1e-12. `np.add.at`

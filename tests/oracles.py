@@ -9,7 +9,8 @@ per-layer textbook matrix, written out without the package's kernel.
 `write_events_csv_rows`, `synthesize_trace_loop` and `detect_events_loop` are
 the row-by-row, transition-by-transition and event-by-event forms of the event
 CSV writer, the trace renderer and the event detector; the package's array
-forms must give the same bytes.
+forms must give the same bytes. `estimate_baseline_histogram` takes each
+window's mode from `np.histogram`, which the package bins in its own scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from spdsim.analysis import estimate_baseline
 from spdsim.detsim import EventRecord, TimeTrace, check_trace
 from spdsim.materials import Polarization, index_at
 
@@ -180,6 +180,36 @@ def synthesize_trace_loop(events: EventRecord, params, duration_s: float,
     return TimeTrace(sample_rate_hz, params.baseline_v, level)
 
 
+def estimate_baseline_histogram(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(start index, histogram mode) of each consecutive baseline window.
+
+    Window i runs from starts[i] to the next start, the last one to the end
+    of the trace; a tail shorter than half a window is folded into the
+    window before it. The mode tracks the quiescent level even when a
+    sizeable fraction of the window sits at depressed occupancy levels. Slow
+    drift is followed at the window granularity. Raises for constant traces
+    and traces shorter than one window.
+    """
+    n = trace.n_samples
+    w = int(round(window_s * trace.sample_rate_hz))
+    if w < 8:
+        raise ValueError("baseline window must span at least 8 samples")
+    if n < w:
+        raise ValueError(f"trace ({n} samples) shorter than baseline window ({w})")
+    if np.ptp(trace.samples) == 0:
+        raise ValueError("degenerate trace: constant signal")
+
+    starts = np.arange(0, n, w)
+    if starts.size > 1 and n - starts[-1] < w // 2:
+        starts = starts[:-1]  # fold a short tail into the previous window
+    modes = np.empty(starts.size)
+    for i, (start, stop) in enumerate(zip(starts, np.append(starts[1:], n))):
+        counts, edges = np.histogram(trace.samples[start:stop], bins=101)
+        k = np.argmax(counts)
+        modes[i] = 0.5 * (edges[k] + edges[k + 1])
+    return starts, modes
+
+
 def detect_events_loop(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
                        min_width_us: float, baseline_window_s: float = 0.01) -> EventRecord:
     """Hysteresis thresholding of downward pulses.
@@ -191,7 +221,7 @@ def detect_events_loop(trace: TimeTrace, threshold_v: float, hysteresis_v: float
     """
     if not (threshold_v > hysteresis_v > 0):
         raise ValueError("need threshold > hysteresis > 0")
-    starts, modes = estimate_baseline(trace, baseline_window_s)
+    starts, modes = estimate_baseline_histogram(trace, baseline_window_s)
     rel = np.repeat(modes, np.diff(starts, append=trace.n_samples))  # per-sample baseline
     np.subtract(trace.samples, rel, out=rel)  # samples - baseline, in the baseline's buffer
 

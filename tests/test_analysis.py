@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import detect_events_loop, match_events
+from oracles import detect_events_loop, estimate_baseline_histogram, match_events
 from spdsim import analysis, detsim
 from spdsim.analysis import (count_rate, detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
@@ -19,6 +20,44 @@ from spdsim.source import CoherentPulseTrain
 def spaced_events(n, spacing_us=150.0, dwell_us=30.0, start_us=50.0):
     caps = start_us + spacing_us * np.arange(n)
     return EventRecord(caps, caps + dwell_us)
+
+
+@st.composite
+def baseline_windows(draw):
+    """A trace in windows of 8 samples or more, with a tail that may fold.
+    Each window spans [lo, hi] at an offset up to 1e6 and holds a few of its
+    own bin edges, np.linspace(lo, hi, 102), and their neighbouring floats,
+    where numpy's index corrections fire; or is constant; or cycles through
+    a few edges, so bins tie; or holds arbitrary values in [lo, hi]."""
+    w = draw(st.integers(8, 40))
+    n = w * draw(st.integers(1, 4)) + draw(st.integers(0, w - 1))
+    starts = list(range(0, n, w))
+    if len(starts) > 1 and n - starts[-1] < w // 2:
+        starts.pop()
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]) | st.floats(-1e6, 1e6))
+    windows = []
+    for size in np.diff(starts, append=n).tolist():
+        lo = offset + draw(st.floats(-1.0, 1.0))
+        hi = lo + draw(st.sampled_from([1e-9, 1e-3, 0.37, 1.0, 3e3]) | st.floats(1e-6, 10.0))
+        edges = np.linspace(lo, hi, 102)
+        near = np.clip(np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                       np.nextafter(edges, np.inf)]), lo, hi)
+        kind = draw(st.sampled_from(["edges", "constant", "ties", "floats"]))
+        if kind == "edges":  # a few edges, so a misplaced sample moves the mode
+            ks = draw(st.lists(st.integers(0, 101), min_size=1, max_size=3))
+            picks = draw(st.lists(st.tuples(st.sampled_from(ks), st.sampled_from([0, 102, 204])),
+                                  min_size=size, max_size=size))
+            window = near[[k + ulp for k, ulp in picks]]
+            window[draw(st.permutations(range(size)))[:2]] = lo, hi  # pin the window's range
+        elif kind == "constant":
+            window = np.full(size, lo)
+        elif kind == "ties":
+            cycle = draw(st.lists(st.integers(1, 100), min_size=1, max_size=4))
+            window = np.resize(edges[[0, 101] + cycle], size)
+        else:
+            window = np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+        windows.append(window)
+    return detsim.TimeTrace(1e6, 0.0, np.concatenate(windows)), w / 1e6
 
 
 class TestBaseline:
@@ -44,10 +83,30 @@ class TestBaseline:
         with pytest.raises(ValueError, match="degenerate"):
             estimate_baseline(trace, window_s=0.01)
 
+    def test_constant_trace_too_large_for_101_bins_rejected(self):
+        # at 1e16 the widened range (v - 0.5, v + 0.5) rounds back onto v
+        trace = detsim.TimeTrace(1e6, 0.0, np.full(30_000, 1e16))
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_baseline(trace, window_s=0.01)
+
     def test_short_trace_rejected(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(0).normal(size=100))
         with pytest.raises(ValueError, match="shorter"):
             estimate_baseline(trace, window_s=0.01)
+
+    @settings(max_examples=400, deadline=None)
+    @given(baseline_windows())
+    def test_matches_np_histogram(self, case):
+        trace, window_s = case
+        try:
+            want = estimate_baseline_histogram(trace, window_s)
+        except ValueError as exc:  # a constant trace, or a window too narrow for 101 bins
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                estimate_baseline(trace, window_s)
+            return
+        starts, modes = estimate_baseline(trace, window_s)
+        assert starts.tolist() == want[0].tolist()
+        assert modes.tobytes() == want[1].tobytes()
 
 
 @st.composite

@@ -547,6 +547,21 @@ class TestCliAnalyze:
         assert payload["edges"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "trace", "--trace", "missing/trace"],
+    ["analyze", "counts", "--light", "missing/light", "--dark", "missing/dark"],
+    ["analyze", "sweep", "--runs", "missing"],
+    ["source", "calibrate"],  # the default config has no power reading
+], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate"])
+def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {})
+    assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # Runs every CLI command in one fresh interpreter, then lists the scipy modules
 # it loaded; the library functions that need scipy must still work after it.
 STARTUP_SCRIPT = textwrap.dedent("""
