@@ -1,16 +1,26 @@
-"""Golden SHA-256 digests of fixed-seed CLI outputs.
+"""Golden SHA-256 digests of fixed-seed CLI outputs, one per file kind.
 
-These pin the bytes of `events.csv` and `trace.f64` from one short
-`spdsim simulate`, of `detected_events.csv` and `trace_analysis.json` from
-`spdsim analyze trace` on that trace (its 0.01 s span five 0.002 s baseline
-windows), and of `response.json` from the default `spdsim tmm point`, so
-"behaviour unchanged" is checked rather than asserted. Update a digest
-only for a deliberate output change, and record that change with a line in
-CHANGES.md. The digests were recorded with numpy 2.4; another numpy release
-may draw a different random stream or round a float differently.
+These pin the bytes of every file a CLI command writes:
+- `spdsim simulate`: `events.csv`, `trace.f64`, `trace.json` and
+  `manifest.json` from one short run;
+- `spdsim analyze trace` on that trace (its 0.01 s span five 0.002 s
+  baseline windows): `detected_events.csv` and `trace_analysis.json`;
+- `spdsim tmm point|map|optimize` on the default 201x201 grid:
+  `response.json`, `map.csv`, `map_summary.json` and `optimum.json`;
+- `spdsim source calibrate`: `calibration.json`;
+- `spdsim analyze counts` on two light/dark pairs and `spdsim analyze sweep`
+  on three repetition rates: `counting.csv` and `fit.json`.
+
+`manifest.json` embeds the numpy and Python versions, so it is digested as
+canonical JSON without its `versions` block. "Behaviour unchanged" is thus
+checked rather than asserted. Update a digest only for a deliberate output
+change, and record that change with a line in CHANGES.md. The digests were
+recorded with numpy 2.4; another numpy release may draw a different random
+stream or round a float differently.
 """
 
 import hashlib
+import json
 
 import pytest
 import yaml
@@ -23,36 +33,83 @@ SIMULATE_CONFIG = {
             "trace_duration_s": 0.01},
     "analysis": {"baseline_window_s": 0.002},
 }
+CALIBRATION = {"power_tap_watts": 1.28e-9, "tap_fraction": 0.5,
+               "post_tap_chain": [{"attenuator": 1e-7}, {"splitter_tap": 0.1}]}
+SWEEP_RATES_HZ = (10000.0, 20000.0, 40000.0)
 
 GOLDEN = {
     "events.csv": "0fd25328f4476d56ee033ef68d915b3eec09dfec41c8d55e2b0f937e9b7a81bd",
     "trace.f64": "9c5b604c70510a6cc0704391af1478e5e060211012e6530a997f9d4727c851b4",
+    "trace.json": "1af2422f67e502ecee842ffc148abe6a641519ee533e90b0b018f0348d622820",
+    "manifest.json": "fd7c539a1a1578ecb8922088324e88fcfeea9d9172934706a83e877e2519a56d",
     "response.json": "2126622aaeb7a807194e5cb1d5e67ab5b27134fcb9f01cfdf91e67a90dffec63",
     "detected_events.csv": "5cb628248943fd4cdf8342412048463e73175fafa59fd5fe795d086cbc05a9a9",
     "trace_analysis.json": "ec1e84e37237cd9980cabeaa1f8659adac72b98a4c8dd11b6a2a12b5eb5fa2e4",
+    "map.csv": "bb369a8c5a5a1515827660efda104930ef50dd6a7721ad538b90e73e725f6d39",
+    "map_summary.json": "d0a21ef91d672593b7f8ec0ed4de1ca96df3e6c6da5071202026528d3b16aa28",
+    "optimum.json": "8e8157e5e53d741d320163b8d7bb36114ab357483caaf31afe1ac13e3194f04a",
+    "calibration.json": "5fcd19cccb8f158dc80e9dd7d41e17b2fca45075f6e79091cb823292ffef5135",
+    "counting.csv": "d6b4029736288804a67bb877934cf7580528eb9b9cd897f7596d439a21dd12a0",
+    "fit.json": "01e4c303ab16944d7efef6194a4b35bcfcb691ff408fe53fd86f73c07cd7f254",
 }
 
 
 def digest(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["versions"]
+        data = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    cfg = tmp / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(SIMULATE_CONFIG), encoding="utf-8")
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp / "sim")]) == 0
-    assert cli.main(["analyze", "trace", "--config", str(cfg),
-                     "--trace", str(tmp / "sim" / "trace"), "--out", str(tmp / "ana")]) == 0
-    assert cli.main(["tmm", "point", "--out", str(tmp / "tmm")]) == 0
-    return {"events.csv": tmp / "sim" / "events.csv",
-            "trace.f64": tmp / "sim" / "trace.f64",
-            "detected_events.csv": tmp / "ana" / "detected_events.csv",
-            "trace_analysis.json": tmp / "ana" / "trace_analysis.json",
-            "response.json": tmp / "tmm" / "response.json"}
+
+    def config(name, doc):
+        path = tmp / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return str(path)
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+
+    cfg = config("cfg", SIMULATE_CONFIG)
+    run("simulate", "--config", cfg, "--out", tmp / "sim")
+    run("analyze", "trace", "--config", cfg, "--trace", tmp / "sim" / "trace",
+        "--out", tmp / "ana")
+    run("tmm", "point", "--out", tmp / "tmm")
+    run("tmm", "map", "--out", tmp / "tmm")
+    run("tmm", "optimize", "--out", tmp / "tmm")
+    cal = config("cal", {**SIMULATE_CONFIG, "calibration": CALIBRATION})
+    run("source", "calibrate", "--config", cal, "--out", tmp / "cal")
+    for k, rate in enumerate(SWEEP_RATES_HZ):
+        rate_cfg = config(f"rate{k}", {
+            **SIMULATE_CONFIG, "source": {"mean_photons": 0.5, "repetition_rate_hz": rate},
+            "run": {**SIMULATE_CONFIG["run"], "seed": 100 + k, "trace_duration_s": 0.001}})
+        run("simulate", "--config", rate_cfg, "--out", tmp / "sweep" / f"f{k}")
+        if k < 2:
+            run("simulate", "--config", rate_cfg, "--seed", 200 + k, "--shutter", "closed",
+                "--out", tmp / "dark" / f"f{k}")
+    run("analyze", "counts", "--config", cfg,
+        "--light", tmp / "sweep" / "f0", "--dark", tmp / "dark" / "f0",
+        "--light", tmp / "sweep" / "f1", "--dark", tmp / "dark" / "f1", "--out", tmp / "counts")
+    run("analyze", "sweep", "--config", cfg, "--runs", tmp / "sweep", "--out", tmp / "fit")
+    dirs = {"events.csv": "sim", "trace.f64": "sim", "trace.json": "sim", "manifest.json": "sim",
+            "detected_events.csv": "ana", "trace_analysis.json": "ana",
+            "response.json": "tmm", "map.csv": "tmm", "map_summary.json": "tmm",
+            "optimum.json": "tmm", "calibration.json": "cal", "counting.csv": "counts",
+            "fit.json": "fit"}
+    return {name: tmp / d / name for name, d in dirs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_digest(outputs, name):
     assert digest(outputs[name]) == GOLDEN[name]
+
+
+def test_manifest_versions(outputs):
+    manifest = json.loads(outputs["manifest.json"].read_text(encoding="utf-8"))
+    assert sorted(manifest["versions"]) == ["numpy", "python", "spdsim"]
