@@ -84,10 +84,14 @@ def cmd_tmm(args) -> int:
         error = np.empty((tops.size, bottoms.size))
         grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis, conservation_error=error)
         out = _out_dir(args, cfg)
-        lines = ["t_top_nm,t_bottom_nm,a_bp"] + [
-            f"{t_top:.6g},{t_bot:.6g},{grid[i, j]:.10g}"
-            for i, t_top in enumerate(tops) for j, t_bot in enumerate(bottoms)]
-        (out / "map.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # Each thickness is formatted once; one % call formats every cell.
+        bottom_labels = [f",{t:.6g}," for t in bottoms.tolist()]
+        cells = [None] * (2 * grid.size)
+        cells[0::2] = [f"{t:.6g}{b}" for t in tops.tolist() for b in bottom_labels]
+        cells[1::2] = grid.ravel().tolist()
+        (out / "map.csv").write_text("t_top_nm,t_bottom_nm,a_bp\n"
+                                     + ("%s%.10g\n" * grid.size) % tuple(cells),
+                                     encoding="utf-8")
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         _write_json(out / "map_summary.json", {
             "wavelength_nm": wavelength, "axis": axis, "step_nm": step,
@@ -200,7 +204,7 @@ def cmd_analyze(args) -> int:
 
     if args.analyze_command == "trace":
         if args.trace is None:
-            raise SystemExit("analyze trace: --trace BASE is required")
+            raise ValueError("analyze trace: --trace BASE is required")
         trace = detsim.read_trace(Path(args.trace))
         events = analysis.detect_events(trace, float(ana["threshold_v"]),
                                         float(ana["hysteresis_v"]),
@@ -223,14 +227,14 @@ def cmd_analyze(args) -> int:
 
     if args.analyze_command == "counts":
         if not args.light or len(args.light) != len(args.dark or []):
-            raise SystemExit("analyze counts: need matching --light/--dark run directories")
+            raise ValueError("analyze counts: need matching --light/--dark run directories")
         lines = ["photon_flux_hz,counts_light,counts_dark,duration_s,eqe,eqe_sigma,negative"]
         for light_dir, dark_dir in zip(args.light, args.dark):
             manifest = _read_manifest(Path(light_dir))
             duration = float(manifest["duration_s"])
             dark_duration = float(_read_manifest(Path(dark_dir))["duration_s"])
             if abs(dark_duration - duration) > 1e-9 * max(duration, 1.0):
-                raise SystemExit(
+                raise ValueError(
                     f"analyze counts: light run ({duration} s) and dark run "
                     f"({dark_duration} s) durations differ; subtraction needs equal exposure")
             src = manifest["source"]
@@ -251,7 +255,7 @@ def cmd_analyze(args) -> int:
 
     if args.analyze_command == "sweep":
         if args.runs is None:
-            raise SystemExit("analyze sweep: --runs DIR is required")
+            raise ValueError("analyze sweep: --runs DIR is required")
         runs_root = Path(args.runs)
         points = []
         n_bars, durations = set(), set()
@@ -262,11 +266,11 @@ def cmd_analyze(args) -> int:
             n_bars.add(round(float(src["mean_photons"]), 12))
             durations.add(round(float(manifest["duration_s"]), 12))
         if not points:
-            raise SystemExit(f"analyze sweep: no run directories under {runs_root}")
+            raise ValueError(f"analyze sweep: no run directories under {runs_root}")
         if len(n_bars) != 1:
-            raise SystemExit(f"analyze sweep: runs disagree on mean_photons: {sorted(n_bars)}")
+            raise ValueError(f"analyze sweep: runs disagree on mean_photons: {sorted(n_bars)}")
         if len(durations) != 1:
-            raise SystemExit(f"analyze sweep: run durations differ: {sorted(durations)} s; "
+            raise ValueError(f"analyze sweep: run durations differ: {sorted(durations)} s; "
                              "the slope needs equal exposure")
         fit = analysis.eqe_from_frequency_sweep(points, n_bars.pop(), durations.pop())
         out = _out_dir(args, cfg)

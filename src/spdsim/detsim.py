@@ -42,9 +42,10 @@ from .source import CoherentPulseTrain, PulsePolarization
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
 _BLOCK_SAMPLES = 1 << 16  # edge or noise samples rendered per block in synthesize_trace
 # Peak bytes per candidate capture in `simulate` when every candidate is
-# accepted: candidate times, sort order and dwells, the walk's index list and
-# the record (35 bytes when the dead time blocks nearly all of them).
-_CANDIDATE_BYTES = 90
+# accepted: candidate times and dwells, the dark candidates' indices, the
+# walk's index list and the record. tracemalloc reads 73-81 bytes (the most
+# when all are dark), and 19 when the dead time blocks nearly all of them.
+_CANDIDATE_BYTES = 85
 
 ORIGIN_PHOTON = "photon"
 ORIGIN_DARK = "dark"
@@ -227,15 +228,17 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     n_dark = rng.poisson(params.dark_rate_hz * duration_s)
     dark_times = np.sort(rng.uniform(0.0, duration_us, size=n_dark))
 
-    cand_times = np.concatenate([photon_times, dark_times])
-    order = np.argsort(cand_times, kind="stable")
-    cand_times = cand_times[order]
+    # Merge the two sorted streams; at equal times photons come first.
+    dark_at = np.searchsorted(photon_times, dark_times, side="right")
+    cand_times = np.insert(photon_times, dark_at, dark_times)
+    dark_at += np.arange(n_dark)  # each dark candidate's index in the merged stream
+    del photon_times, dark_times  # freed before the walk
     dwells = rng.exponential(params.hold_time_mean_us, size=cand_times.size)
 
     kept = np.array(_accept(cand_times, dwells, params.dead_time_us, params.max_occupancy),
                     dtype=np.intp)
     captures = cand_times[kept]
-    origins = np.where(order[kept] < photon_times.size, ORIGIN_PHOTON, ORIGIN_DARK)
+    origins = np.where(np.isin(kept, dark_at), ORIGIN_DARK, ORIGIN_PHOTON)
     return EventRecord(captures, captures + dwells[kept], origins)
 
 
@@ -359,67 +362,122 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
 # ---------------------------------------------------------------------------
 # File formats
 
+_HEADER = "timestamp_us,kind,origin"
 _KINDS = ("capture", "release")  # indexed by "is a release"
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first): a stable argsort of `values` and, along it, True where
+    a run of equal values starts. For a few distinct strings this is several
+    times faster than `np.unique`, whose sort is not stable."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, first
 
 
 def write_events_csv(record: EventRecord, path: str | Path) -> None:
     """CSV rows `timestamp_us,kind,origin` merged in time order.
 
     At equal times captures come before releases, and rows of one kind keep
-    the record's order.
+    the record's order. Each row's `,kind,origin\\n` label is picked from a
+    table of one label per (kind, origin) pair, and one % call formats
+    every row.
     """
     n = record.n_captures
     origins = record.origins if record.origins is not None else np.full(n, "unknown")
+    by_origin, first = _runs(origins)
+    names = origins[by_origin[first]].tolist()
+    code = np.empty(n, dtype=np.intp)
+    code[by_origin] = np.cumsum(first) - 1
+    labels = np.array([f",{kind},{name}\n" for kind in _KINDS for name in names], dtype=object)
     times = np.concatenate([record.capture_times_us, record.release_times_us])
     order = np.argsort(times, kind="stable")  # captures hold the lower indices
-    rows = zip(times[order].tolist(), (order >= n).tolist(),
-               np.concatenate([origins, origins])[order].tolist())
-    lines = ["timestamp_us,kind,origin"]
-    lines += [f"{t:.4f},{_KINDS[is_release]},{origin}" for t, is_release, origin in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = [None] * (4 * n)
+    cells[0::2] = times[order].tolist()
+    cells[1::2] = labels[np.concatenate([code, code + len(names)])[order]].tolist()
+    Path(path).write_text(f"{_HEADER}\n" + ("%.4f%s" * (2 * n)) % tuple(cells),
+                          encoding="utf-8")
+
+
+def _data_lines(body: str) -> list[tuple[int, str]]:
+    """(line number, line) of each row `np.loadtxt` parses from the text after
+    the header: every non-empty line."""
+    return [(n, line) for n, line in enumerate(body.split("\n"), start=2) if line]
+
+
+def _malformed_row(body: str) -> int | None:
+    """Line number of the first row that is not a number and two more fields."""
+    for n, line in _data_lines(body):
+        t, *rest = line.split(",")
+        try:
+            float(t)
+        except ValueError:
+            return n
+        if len(rest) != 2:
+            return n
+    return None
 
 
 def read_events_csv(path: str | Path) -> EventRecord:
     """Rebuild an EventRecord from CSV.
 
     The 3-column format stores no pair ids, so each release is matched FIFO
-    to the oldest open capture of the same origin; event times and origins
-    round-trip exactly, individual dwell pairings may not.
+    to the oldest open capture of the same origin: the k-th release row of an
+    origin closes its k-th capture row. Event times and origins round-trip
+    exactly, individual dwell pairings may not. `np.loadtxt` parses the rows
+    and skips empty lines. Errors name the file, and the line of the row at
+    fault where there is one.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "timestamp_us,kind,origin":
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    if header.strip() != _HEADER:
         raise ValueError(f"{path}: not an event CSV (bad header)")
-    open_caps: dict[str, list[int]] = {}
-    captures: list[float] = []
-    releases: list[float | None] = []
-    origins: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    if not body.strip():
+        return EventRecord(np.empty(0), np.empty(0), np.empty(0, dtype="U7"))
+    width = 8  # a kind longer than 7 characters stays unequal to both kinds
+    while True:
         try:
-            t_str, kind, origin = line.split(",")
-            t = float(t_str)
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                              encoding="utf-8",
+                              dtype=[("t", "f8"), ("k", "U8"), ("o", f"U{width}")])
         except ValueError as exc:
-            raise ValueError(f"{path}: row {lineno}: malformed line") from exc
-        if kind == "capture":
-            open_caps.setdefault(origin, []).append(len(captures))
-            captures.append(t)
-            releases.append(None)
-            origins.append(origin)
-        elif kind == "release":
-            queue = open_caps.get(origin, [])
-            if not queue:
-                raise ValueError(f"{path}: row {lineno}: release without open capture")
-            releases[queue.pop(0)] = t
-        else:
-            raise ValueError(f"{path}: row {lineno}: unknown kind '{kind}'")
-    if any(r is None for r in releases):
+            row = _malformed_row(body)
+            raise ValueError(f"{path}: " + (f"row {row}: " if row else "")
+                             + "malformed line") from exc
+        if np.char.str_len(rows["o"]).max() < width:
+            break
+        width *= 4  # an origin may have been cut to the field width: parse wider
+    times, kinds, origins = rows["t"], rows["k"], rows["o"]
+
+    is_release = kinds == "release"
+    unknown = ~is_release & (kinds != "capture")
+    if unknown.any():
+        n, line = _data_lines(body)[int(unknown.argmax())]
+        raise ValueError(f"{path}: row {n}: unknown kind '{line.split(',')[1]}'")
+
+    # Rows grouped by origin, each group in row order. Within a group no
+    # release may come before a capture is open for it.
+    by_origin, first = _runs(origins)
+    steps = np.where(is_release[by_origin], -1, 1)
+    open_caps = np.cumsum(steps)
+    starts = np.flatnonzero(first)
+    open_caps -= np.repeat(open_caps[starts] - steps[starts],
+                           np.diff(starts, append=steps.size))
+    if (open_caps < 0).any():
+        n, _ = _data_lines(body)[int(by_origin[open_caps < 0].min())]
+        raise ValueError(f"{path}: row {n}: release without open capture")
+    caps, rels = by_origin[steps > 0], by_origin[steps < 0]
+    if caps.size != rels.size:
         raise ValueError(f"{path}: unmatched capture (missing release row)")
-    origins_arr = np.array(origins) if origins else np.empty(0, dtype="U7")
-    if origins and set(origins) == {"unknown"}:
-        origins_arr = None
-    return EventRecord(np.array(captures, dtype=float),
-                       np.array(releases, dtype=float), origins_arr)
+
+    release_times = np.empty(times.size)
+    release_times[caps] = times[rels]  # the k-th release of each origin closes its k-th capture
+    cap_rows = np.flatnonzero(~is_release)
+    origins = origins[cap_rows]
+    origins = None if (origins == "unknown").all() else \
+        origins.astype(f"U{max(1, int(np.char.str_len(origins).max()))}")
+    return EventRecord(times[cap_rows], release_times[cap_rows], origins)
 
 
 def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:

@@ -9,8 +9,10 @@ per-layer textbook matrix, written out without the package's kernel.
 `write_events_csv_rows`, `synthesize_trace_loop` and `detect_events_loop` are
 the row-by-row, transition-by-transition and event-by-event forms of the event
 CSV writer, the trace renderer and the event detector; the package's array
-forms must give the same bytes. `estimate_baseline_histogram` takes each
-window's mode from `np.histogram`, which the package bins in its own scratch.
+forms must give the same bytes. `read_events_csv_rows` is the line-by-line
+event CSV reader, whose arrays and errors the package's reader must match.
+`estimate_baseline_histogram` takes each window's mode from `np.histogram`,
+which the package bins in its own scratch.
 """
 
 from __future__ import annotations
@@ -140,6 +142,49 @@ def write_events_csv_rows(record: EventRecord, path: str | Path) -> None:
     lines = ["timestamp_us,kind,origin"]
     lines += [f"{t:.4f},{kind},{origin}" for t, kind, origin in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_events_csv_rows(path: str | Path) -> EventRecord:
+    """Rebuild an EventRecord from CSV.
+
+    The 3-column format stores no pair ids, so each release is matched FIFO
+    to the oldest open capture of the same origin; event times and origins
+    round-trip exactly, individual dwell pairings may not.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != "timestamp_us,kind,origin":
+        raise ValueError(f"{path}: not an event CSV (bad header)")
+    open_caps: dict[str, list[int]] = {}
+    captures: list[float] = []
+    releases: list[float | None] = []
+    origins: list[str] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            t_str, kind, origin = line.split(",")
+            t = float(t_str)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: malformed line") from exc
+        if kind == "capture":
+            open_caps.setdefault(origin, []).append(len(captures))
+            captures.append(t)
+            releases.append(None)
+            origins.append(origin)
+        elif kind == "release":
+            queue = open_caps.get(origin, [])
+            if not queue:
+                raise ValueError(f"{path}: row {lineno}: release without open capture")
+            releases[queue.pop(0)] = t
+        else:
+            raise ValueError(f"{path}: row {lineno}: unknown kind '{kind}'")
+    if any(r is None for r in releases):
+        raise ValueError(f"{path}: unmatched capture (missing release row)")
+    origins_arr = np.array(origins) if origins else np.empty(0, dtype="U7")
+    if origins and set(origins) == {"unknown"}:
+        origins_arr = None
+    return EventRecord(np.array(captures, dtype=float),
+                       np.array(releases, dtype=float), origins_arr)
 
 
 def synthesize_trace_loop(events: EventRecord, params, duration_s: float,

@@ -502,7 +502,7 @@ class TestCliAnalyze:
         sigma = np.sqrt(np.sum((rates - rates.mean()) ** 2 * expected)) / sxx / (n_bar * duration)
         assert fit["eqe_from_slope"] == pytest.approx(p_detect / n_bar, abs=4 * sigma)
 
-    def test_sweep_rejects_mismatched_durations(self, tmp_path):
+    def test_sweep_rejects_mismatched_durations(self, tmp_path, capsys):
         sweeps = tmp_path / "sweeps"
         for i, (f, duration) in enumerate(((1e3, 1.0), (2e3, 1.0), (5e3, 0.25))):
             cfg = write_cfg(tmp_path, {
@@ -510,25 +510,34 @@ class TestCliAnalyze:
                 "run": {"duration_s": duration, "trace_duration_s": 0.001},
             }, name=f"cfg{i}.yaml")
             assert run_cli("simulate", "--config", cfg, "--out", sweeps / f"f{i}") == 0
-        with pytest.raises(SystemExit, match="durations differ"):
-            run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}, "base.yaml"),
-                    "--runs", sweeps, "--out", tmp_path / "ana")
+        capsys.readouterr()
+        assert run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}, "base.yaml"),
+                       "--runs", sweeps, "--out", tmp_path / "ana") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analyze sweep: run durations differ")
+        assert err.count("\n") == 1
 
-    def test_counts_requires_pairs(self, tmp_path):
+    def test_counts_requires_pairs(self, tmp_path, capsys):
         cfg = simulate_cfg(tmp_path)
-        with pytest.raises(SystemExit):
-            run_cli("analyze", "counts", "--config", cfg, "--light", tmp_path)
+        assert run_cli("analyze", "counts", "--config", cfg, "--light", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "error: analyze counts: need matching --light/--dark run directories\n")
 
-    def test_counts_rejects_mismatched_durations(self, tmp_path):
+    def test_counts_rejects_mismatched_durations(self, tmp_path, capsys):
         light_cfg = simulate_cfg(tmp_path, duration_s=1.0)
         light, dark = tmp_path / "light", tmp_path / "dark"
         assert run_cli("simulate", "--config", light_cfg, "--out", light) == 0
         dark_cfg = write_cfg(tmp_path, {"run": {"duration_s": 2.0}}, name="dark.yaml")
         assert run_cli("simulate", "--config", dark_cfg, "--out", dark,
                        "--shutter", "closed") == 0
-        with pytest.raises(SystemExit, match="durations differ"):
-            run_cli("analyze", "counts", "--config", light_cfg,
-                    "--light", light, "--dark", dark, "--out", tmp_path / "ana")
+        capsys.readouterr()
+        assert run_cli("analyze", "counts", "--config", light_cfg,
+                       "--light", light, "--dark", dark, "--out", tmp_path / "ana") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analyze counts: light run (1.0 s) and dark run (2.0 s) "
+                              "durations differ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ana").exists()
 
     def test_trace_with_no_events_reports_none(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -552,7 +561,12 @@ class TestCliAnalyze:
     ["analyze", "counts", "--light", "missing/light", "--dark", "missing/dark"],
     ["analyze", "sweep", "--runs", "missing"],
     ["source", "calibrate"],  # the default config has no power reading
-], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate"])
+    ["analyze", "trace"],
+    ["analyze", "counts"],
+    ["analyze", "sweep"],
+], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate",
+        "analyze-trace-without-trace", "analyze-counts-without-pairs",
+        "analyze-sweep-without-runs"])
 def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, {})

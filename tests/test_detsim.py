@@ -12,13 +12,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from oracles import (accept_loop, per_pulse_detection_probability, synthesize_trace_loop,
-                     write_events_csv_rows)
+from oracles import (accept_loop, per_pulse_detection_probability, read_events_csv_rows,
+                     synthesize_trace_loop, write_events_csv_rows)
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
 from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, Polarizer,
                            PulsePolarization, Splitter, chain_transmittance)
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def train(n_bar, f=1e4, polarization=PulsePolarization.unpolarized()):
@@ -209,14 +217,14 @@ class TestAcceptWalk:
 
 
 @st.composite
-def event_records(draw):
+def event_records(draw, names=("photon", "dark")):
     """Captures on a coarse grid with dwells often 0 or on the grid, so captures
-    tie with captures and with releases; origins mixed, or None."""
+    tie with captures and with releases; origins mixed from `names`, or None."""
     ticks = sorted(draw(st.lists(st.integers(0, 40), max_size=40)))
     dwells = draw(st.lists(st.one_of(st.integers(0, 10).map(lambda k: 0.5 * k),
                                      st.floats(0.0, 20.0)),
                            min_size=len(ticks), max_size=len(ticks)))
-    origins = draw(st.one_of(st.none(), st.lists(st.sampled_from(["photon", "dark"]),
+    origins = draw(st.one_of(st.none(), st.lists(st.sampled_from(names),
                                                  min_size=len(ticks), max_size=len(ticks))))
     captures = 0.5 * np.array(ticks, dtype=float)
     return EventRecord(captures, captures + np.array(dwells, dtype=float), origins)
@@ -475,6 +483,72 @@ class TestFileFormats:
             back = read_trace(Path(tmp) / "trace")
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert (back.sample_rate_hz, back.baseline_v) == (sample_rate_hz, baseline_v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_records(names=("photon", "dark", "unknown", "", "background_light")),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e8)))
+    def test_events_csv_reader_matches_row_loop(self, record, offset_us):
+        # Every file the writer writes: empty records, origins None, all
+        # "unknown" (read back as None), empty and longer than the first
+        # parse's 8-character field.
+        record = EventRecord(record.capture_times_us + offset_us,
+                             record.release_times_us + offset_us, record.origins)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            write_events_csv(record, path)
+            got, want = read_events_csv(path), read_events_csv_rows(path)
+        assert got.capture_times_us.tobytes() == want.capture_times_us.tobytes()
+        assert got.release_times_us.tobytes() == want.release_times_us.tobytes()
+        if want.origins is None:
+            assert got.origins is None
+        else:
+            assert got.origins.dtype == want.origins.dtype
+            assert got.origins.tolist() == want.origins.tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(event_records(names=("photon", "dark", "unknown")), st.data())
+    def test_events_csv_reader_raises_where_row_loop_raises(self, record, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            write_events_csv(record, path)
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                         exclude_characters=","), max_size=12)
+            kinds = ["unknown kind", "release first", "wrong field count", "bad time"]
+            if rows:
+                kinds.append("missing release")
+            mutation = data.draw(st.sampled_from(kinds))
+            if mutation == "release first":  # before any capture of its origin
+                origin = data.draw(st.sampled_from(["photon", "dark", "unknown", "x"]))
+                first = next((i for i, row in enumerate(rows)
+                              if row.endswith(f",capture,{origin}")), len(rows))
+                rows.insert(data.draw(st.integers(0, first)),
+                            f"{data.draw(st.floats(0.0, 30.0)):.4f},release,{origin}")
+            elif mutation == "missing release":
+                releases = [i for i, row in enumerate(rows) if ",release," in row]
+                del rows[data.draw(st.sampled_from(releases))]
+            else:
+                if not rows:
+                    rows.append("0.0000,capture,photon")
+                i = data.draw(st.integers(0, len(rows) - 1))
+                t, kind, origin = rows[i].split(",")
+                if mutation == "unknown kind":
+                    kind = data.draw(st.one_of(
+                        st.sampled_from(["captures", "released", "Capture", " release", ""]),
+                        text).filter(lambda k: k not in ("capture", "release")))
+                    rows[i] = f"{t},{kind},{origin}"
+                elif mutation == "wrong field count":
+                    rows[i] = data.draw(st.sampled_from(
+                        [f"{t},{kind}", f"{t},{kind},{origin},", f"{t},{kind},{origin},x", t]))
+                else:
+                    bad = data.draw(text.filter(lambda s: not _parses_as_float(s)))
+                    rows[i] = f"{bad},{kind},{origin}"
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError) as want:
+                read_events_csv_rows(path)
+            with pytest.raises(ValueError) as got:
+                read_events_csv(path)
+        assert str(got.value) == str(want.value)
 
     def test_events_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
