@@ -84,14 +84,12 @@ def cmd_tmm(args) -> int:
         error = np.empty((tops.size, bottoms.size))
         grid = tmm.absorption_map(stack, tops, bottoms, wavelength, axis, conservation_error=error)
         out = _out_dir(args, cfg)
-        # Each thickness is formatted once; one % call formats every cell.
-        bottom_labels = [f",{t:.6g}," for t in bottoms.tolist()]
-        cells = [None] * (2 * grid.size)
-        cells[0::2] = [f"{t:.6g}{b}" for t in tops.tolist() for b in bottom_labels]
-        cells[1::2] = grid.ravel().tolist()
+        # Each thickness is formatted once, into a template of every row; one
+        # % call then formats every cell.
+        cells = [f",{t:.6g},%.10g\n" for t in bottoms.tolist()]
+        rows = "".join(top + top.join(cells) for top in [f"{t:.6g}" for t in tops.tolist()])
         (out / "map.csv").write_text("t_top_nm,t_bottom_nm,a_bp\n"
-                                     + ("%s%.10g\n" * grid.size) % tuple(cells),
-                                     encoding="utf-8")
+                                     + rows % tuple(grid.ravel().tolist()), encoding="utf-8")
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         _write_json(out / "map_summary.json", {
             "wavelength_nm": wavelength, "axis": axis, "step_nm": step,
