@@ -31,6 +31,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +44,12 @@ from .source import CoherentPulseTrain, PulsePolarization
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
 _BLOCK_SAMPLES = 1 << 16  # edge or noise samples rendered per block in synthesize_trace
 # Peak bytes per candidate capture in `simulate` when every candidate is
-# accepted: candidate times and dwells, the dark candidates' indices, the
-# walk's index list and the record. tracemalloc reads 73-81 bytes (the most
-# when all are dark), and 19 when the dead time blocks nearly all of them.
-_CANDIDATE_BYTES = 85
+# accepted. When all are dark, the peak is the origin lookup: candidate times
+# and dwells, the dark candidates' indices, the kept indices and three
+# temporaries over them; tracemalloc reads 56 bytes. With photons, or half of
+# each, it is the record and its checks: 50 bytes. At 1 MHz and n_bar 2 the
+# dead time blocks nearly all candidates, and it reads 17.5.
+_CANDIDATE_BYTES = 60
 
 ORIGIN_PHOTON = "photon"
 ORIGIN_DARK = "dark"
@@ -167,30 +171,40 @@ class EventRecord:
 
 
 def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
-            max_occupancy: float) -> list[int]:
-    """Indices of the sorted candidate `times` that become captures.
+            max_occupancy: float) -> array:
+    """Indices of the sorted float64 candidate `times` that become captures.
 
     A candidate is accepted when it is at least `dead_time_us` after the last
     accepted one and fewer than `max_occupancy` accepted candidates still
     hold a slot; candidate i holds one until times[i] + dwells[i]. Only
-    accepted candidates and those a full island blocks are visited; an
-    acceptance whose dead time blocks the next candidate searches once for
-    the first candidate past it.
+    accepted candidates and those a full island blocks are visited. An
+    acceptance whose dead time blocks the next candidate jumps to the first
+    candidate at or past it by `bisect_left`: first inside a window twice
+    as long as the previous jump, and over the rest of the array only when
+    the window ends before the dead time does. The arrays are read through
+    memoryviews, so each step handles Python floats, and the indices are
+    collected in an `array("q")` that `np.frombuffer` reads without a copy.
     """
-    kept: list[int] = []
+    kept = array("q")
     pending: list[float] = []
-    i, n = 0, times.size
+    tv, dv = memoryview(times), memoryview(dwells)
+    i, n, jump = 0, len(tv), 0
     while i < n:
-        t = float(times[i])
+        t = tv[i]
         while pending and pending[0] <= t:
             heapq.heappop(pending)
         if len(pending) < max_occupancy:
             kept.append(i)
-            heapq.heappush(pending, t + float(dwells[i]))
+            heapq.heappush(pending, t + dv[i])
             end = t + dead_time_us
             i += 1
-            if i < n and times[i] < end:  # jump past the candidates the dead time blocks
-                i = int(times.searchsorted(end))
+            if i < n and tv[i] < end:  # jump past the candidates the dead time blocks
+                hi = i + 2 * jump
+                if hi < n and tv[hi] >= end:
+                    j = bisect_left(tv, end, i, hi)
+                else:
+                    j = bisect_left(tv, end, i, n)
+                jump, i = j - i, j
         else:
             i += 1
     return kept
@@ -235,11 +249,16 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     del photon_times, dark_times  # freed before the walk
     dwells = rng.exponential(params.hold_time_mean_us, size=cand_times.size)
 
-    kept = np.array(_accept(cand_times, dwells, params.dead_time_us, params.max_occupancy),
-                    dtype=np.intp)
+    kept = np.frombuffer(_accept(cand_times, dwells, params.dead_time_us,
+                                 params.max_occupancy), dtype=np.int64)
+    # Both index arrays are sorted, so each kept index finds its equal in
+    # dark_at, if it has one, where searchsorted puts it; -1 pads the end.
+    # (np.isin would sort both, and its np.unique imports numpy.ma.)
+    is_dark = np.append(dark_at, -1)[np.searchsorted(dark_at, kept)] == kept
     captures = cand_times[kept]
-    origins = np.where(np.isin(kept, dark_at), ORIGIN_DARK, ORIGIN_PHOTON)
-    return EventRecord(captures, captures + dwells[kept], origins)
+    releases = captures + dwells[kept]
+    del cand_times, dwells, dark_at, kept  # freed before the record is built
+    return EventRecord(captures, releases, np.where(is_dark, ORIGIN_DARK, ORIGIN_PHOTON))
 
 
 @dataclass

@@ -611,7 +611,36 @@ STARTUP_SCRIPT = textwrap.dedent("""
 """)
 
 
+# A saturation-shaped simulate (1 s at 1 MHz, n_bar 2: 0.43 M candidates,
+# 19 k captures, ~720 of them dark): sizes at which np.isin sorts, and its
+# np.unique imports numpy.ma.
+SIMULATE_SCRIPT = textwrap.dedent("""
+    import sys
+    from spdsim.detsim import DetectorParams, simulate
+    from spdsim.source import CoherentPulseTrain, PulsePolarization
+
+    source = CoherentPulseTrain(1550.0, 1e6, 2.0, PulsePolarization.unpolarized())
+    record = simulate(DetectorParams(), source, 1.0, seed=1)
+    assert set(record.origins.tolist()) == {"dark", "photon"}
+    print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+""")
+
+
+def run_fresh(script, *argv):
+    """Runs `script` in a fresh interpreter that imports this checkout's spdsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestStartup:
+    def test_simulate_does_not_import_numpy_ma(self):
+        proc = run_fresh(SIMULATE_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy.ma loaded: False" in proc.stdout, proc.stdout
+
     def test_no_cli_command_imports_scipy(self, tmp_path):
         for rate in (2000, 5000, 8000):
             write_cfg(tmp_path, {
@@ -620,10 +649,6 @@ class TestStartup:
                 "calibration": {"power_tap_watts": 1.28e-9},
                 "run": {"duration_s": 0.05, "sample_rate_hz": 1e7, "trace_duration_s": 0.02},
             }, name=f"cfg{rate}.yaml")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_fresh(STARTUP_SCRIPT, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "scipy modules: []" in proc.stdout, proc.stdout

@@ -137,6 +137,20 @@ class TestSimulate:
         expected_rate = 40_000.0 / (1.0 + 40_000.0 * 50e-6)
         assert record.n_captures / 10.0 == pytest.approx(expected_rate, rel=0.02)
 
+    def test_default_dead_time_saturates_at_20_khz(self):
+        # DetectorParams says its defaults reproduce the ~20 kHz count-rate
+        # saturation: as the flux rises, detections/s approach 1/tau and no
+        # run registers more than duration/tau + 1 detections.
+        params, duration_s = DetectorParams(), 0.5
+        ceiling_hz = 1e6 / params.dead_time_us
+        rates = []
+        for n_bar in (0.02, 0.2, 2.0, 20.0):
+            record = simulate(params, train(n_bar, f=1e5), duration_s, seed=17)
+            assert record.n_detections <= duration_s * ceiling_hz + 1
+            rates.append(record.n_detections / duration_s)
+        assert all(a < b for a, b in zip(rates, rates[1:])), rates
+        assert rates[-1] >= 0.99 * ceiling_hz, rates
+
     @pytest.mark.parametrize("seed", range(5))
     def test_dead_time_blocks_capture_not_only_the_counter(self, seed):
         # The 50 us default dead time outlasts most 10 us dwells, so the
@@ -201,18 +215,35 @@ def candidate_sets(draw):
     return np.array(ticks) * 0.5, np.array(dwells, dtype=float)
 
 
+@st.composite
+def candidate_bursts(draw):
+    """Sorted candidates in bursts of differing density on the same grid, so
+    one dead time may block many more candidates than the one before it
+    (the walk's search runs past its window), a candidate may sit exactly
+    one dead time after an acceptance, and a window may run off the end."""
+    gaps = []
+    for count, widest in draw(st.lists(st.tuples(st.integers(1, 40),
+                                                 st.sampled_from([0, 1, 3, 30])),
+                                       min_size=1, max_size=6)):
+        gaps += draw(st.lists(st.integers(0, widest), min_size=count, max_size=count))
+    ticks = np.cumsum(gaps)
+    # One drawn seed, not a float per candidate, keeps a failure quick to shrink.
+    dwells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 40.0, ticks.size)
+    return ticks * 0.5, dwells
+
+
 class TestAcceptWalk:
-    @settings(max_examples=400, deadline=None)
-    @given(candidate_sets(),
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(candidate_sets(), candidate_bursts()),
            st.one_of(st.just(0.0), st.integers(0, 100).map(lambda k: 0.5 * k),
                      st.floats(0.0, 50.0)),
            st.one_of(st.integers(1, 5), st.just(1000), st.just(math.inf)))
     def test_matches_per_candidate_loop(self, candidates, dead_time_us, max_occupancy):
         times, dwells = candidates
-        assert (detsim._accept(times, dwells, dead_time_us, max_occupancy)
+        assert (list(detsim._accept(times, dwells, dead_time_us, max_occupancy))
                 == accept_loop(times, dwells, dead_time_us, max_occupancy))
         zeros = np.zeros(times.size)
-        assert (detsim._accept(times, zeros, dead_time_us, 1)
+        assert (list(detsim._accept(times, zeros, dead_time_us, 1))
                 == accept_loop(times, zeros, dead_time_us, 1))
 
 
@@ -288,7 +319,7 @@ class TestApplyDeadTime:
 
     def test_zero_dead_time_identity(self):
         times = np.array([0.0, 1.0, 2.5])
-        assert detsim._accept(times, np.zeros(3), 0.0, 1) == [0, 1, 2]
+        assert list(detsim._accept(times, np.zeros(3), 0.0, 1)) == [0, 1, 2]
 
     def test_direct_rule(self):
         times = np.array([0.0, 10.0, 25.0])
