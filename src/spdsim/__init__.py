@@ -9,8 +9,8 @@ Subpackages map onto the stages of the physical experiment:
   power-meter calibration.
 - `detsim`: stochastic simulator of the capture/release detection cycle with
   dark counts, dead time, and synthetic output-voltage traces.
-- `analysis`: event recovery from traces, occupation histograms, count rates,
-  and quantum-efficiency estimators.
+- `analysis`: event recovery from traces, occupation histograms, and
+  quantum-efficiency estimators.
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 
@@ -19,9 +19,13 @@ import os
 __version__ = "0.1.0"
 
 
-def _physical_memory_bytes() -> int | None:
-    """Total physical memory, or None where the OS does not report it."""
+def check_memory(need_bytes: float, what: str) -> None:
+    """Raise ValueError, naming `what`, when `need_bytes` exceed physical
+    memory; pass where the OS does not report its memory."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return None
+        return
+    if need_bytes > memory:
+        raise ValueError(f"{what}, which need {need_bytes:.4g} bytes; "
+                         f"this machine has {memory} bytes")

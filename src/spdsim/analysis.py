@@ -152,13 +152,10 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
                          prominence_fraction: float = 0.05) -> HistogramResult:
     """Value histogram of the trace with occupation-level peaks.
 
-    Peaks are local maxima whose prominence exceeds `prominence_fraction` of
-    the tallest bin. Levels are returned in descending voltage, so the first
+    Peaks are local maxima whose prominence is at least `prominence_fraction`
+    of the tallest bin. Levels are returned in descending voltage, so the first
     one corresponds to the empty island.
     """
-    # Imported here, not at module level: scipy.signal takes ~1 s to import.
-    from scipy.signal import find_peaks
-
     if bin_width_v <= 0:
         raise ValueError("bin width must be positive")
     samples = trace.samples
@@ -171,59 +168,33 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
     edges = np.arange(lo - 2 * bin_width_v, hi + 3 * bin_width_v, bin_width_v)
     counts, edges = np.histogram(samples, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    peaks, _ = find_peaks(counts, prominence=prominence_fraction * counts.max())
+    peaks = _prominent_peaks(counts, prominence_fraction * counts.max())
     levels = centers[peaks]
     order = np.argsort(levels)[::-1]
     return HistogramResult(counts, centers, levels[order])
 
 
-@dataclass
-class RateEstimate:
-    rate_hz: float
-    sigma_hz: float
-    n_events: int
-    duration_s: float
-    upper95_hz: float
-    window_rates_hz: np.ndarray | None = None
+def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Ascending indices of the local maxima of `x` whose prominence is
+    `prominence` or more.
 
-
-def count_rate(events, duration_s: float, window_s: float | None = None) -> RateEstimate:
-    """Event rate with Poisson sigma; N can be a count, times, or an EventRecord.
-
-    The one-sided 95% upper bound is the exact Poisson limit (Gehrels, ApJ
-    303, 336, 1986), the 95% quantile of Gamma(n + 1): about 3/duration for
-    zero observed events. With `window_s`, per-window sub-rates are attached
-    for stationarity checks.
+    A run of equal values is a maximum when both its neighbours are lower, so
+    a run at either end never is; it sits at the run's middle, rounded down.
+    Its prominence is its height less the higher of the two minimums between
+    it and the nearest strictly higher value on each side, or the array's end.
     """
-    # Imported here, not at module level: no CLI command should pay for scipy.
-    from scipy.special import gammaincinv
-
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    times = None
-    if isinstance(events, TimeTrace):
-        raise TypeError("run detect_events on the trace first, then count the record")
-    if isinstance(events, EventRecord):
-        times = events.detection_times_us()
-        n = times.size
-    elif np.isscalar(events):
-        n = int(events)
-    else:
-        times = np.asarray(events, dtype=float)
-        n = times.size
-    rate = n / duration_s
-    sigma = math.sqrt(n) / duration_s
-    upper95 = gammaincinv(n + 1, 0.95) / duration_s
-    window_rates = None
-    if window_s is not None:
-        if times is None:
-            raise ValueError("window sub-rates need event times, not a bare count")
-        n_windows = int(duration_s / window_s)
-        if n_windows < 1:
-            raise ValueError("window longer than duration")
-        edges = np.arange(n_windows + 1) * window_s * 1e6
-        window_rates = np.histogram(times, bins=edges)[0] / window_s
-    return RateEstimate(rate, sigma, n, duration_s, upper95, window_rates)
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts, ends = change[:-1], change[1:] - 1  # the runs with two neighbours
+    top = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
+    peaks = (starts[top] + ends[top]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for j, i in enumerate(peaks):
+        higher = np.flatnonzero(x > x[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else x.size
+        keep[j] = x[i] - max(x[lo:i + 1].min(), x[i:hi].min()) >= prominence
+    return peaks[keep]
 
 
 @dataclass

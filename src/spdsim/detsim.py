@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _physical_memory_bytes
+from . import check_memory
 from .source import CoherentPulseTrain, PulsePolarization
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
@@ -152,11 +152,6 @@ class EventRecord:
             return 0
         return 1 + int(np.count_nonzero(np.diff(self.capture_times_us)))
 
-    def detection_times_us(self) -> np.ndarray:
-        """The distinct capture instants: the first time of each run of equal times."""
-        t = self.capture_times_us
-        return t[np.concatenate(([True], np.diff(t) != 0))] if t.size else t
-
     def occupancy_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(transition times, occupancy after each transition), time-ordered.
 
@@ -226,12 +221,8 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     n_pulses = source.pulse_count(duration_s)
     mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
     expected = mu * n_pulses + params.dark_rate_hz * duration_s
-    memory = _physical_memory_bytes()
-    if memory is not None and expected * _CANDIDATE_BYTES > memory:
-        raise ValueError(
-            f"{duration_s:g} s at {f:g} Hz expects {expected:.4g} candidate captures, "
-            f"which need {expected * _CANDIDATE_BYTES:.4g} bytes; "
-            f"this machine has {memory} bytes")
+    check_memory(expected * _CANDIDATE_BYTES,
+                 f"{duration_s:g} s at {f:g} Hz expects {expected:.4g} candidate captures")
 
     rng = np.random.default_rng(seed)
     duration_us = duration_s * 1e6
@@ -294,12 +285,7 @@ def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate_hz))
-    need = 8 * n
-    memory = _physical_memory_bytes()
-    if memory is not None and need > memory:
-        raise ValueError(
-            f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz) needs "
-            f"{need} bytes of float64 samples; this machine has {memory} bytes")
+    check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
     for edge in (params.fall_time_us, params.rise_time_us):
         if edge > 0 and sample_rate_hz < 10.0 / (edge * 1e-6):
             raise ValueError(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _physical_memory_bytes
+from . import check_memory
 from .materials import AIR, MaterialDispersion, Polarization, index_at
 
 # Peak bytes per cell of `absorption_map` with its conservation error, measured
@@ -161,11 +161,7 @@ def check_map(n_top: int, n_bottom: int) -> None:
     """Raise ValueError, before anything of the grid's size is allocated, when
     a map of n_top x n_bottom cells at `_CELL_BYTES` each exceeds physical memory."""
     cells = n_top * n_bottom
-    memory = _physical_memory_bytes()
-    if memory is not None and cells * _CELL_BYTES > memory:
-        raise ValueError(
-            f"{n_top}x{n_bottom} thickness map has {cells} cells, which need "
-            f"{cells * _CELL_BYTES:.4g} bytes; this machine has {memory} bytes")
+    check_memory(cells * _CELL_BYTES, f"{n_top}x{n_bottom} thickness map has {cells} cells")
 
 
 def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:

@@ -142,25 +142,54 @@ def test_criterion_5_closed_loop_eqe():
            f"eqe={result.eqe:.4f}+-{result.eqe_sigma:.4f}, |z|={z:.2f}, {elapsed:.1f}s")
 
 
-def test_criterion_6_slope_method():
+@pytest.fixture(scope="module")
+def sweep_fit():
+    """(fit, expected slope EQE, dark counts, slope-EQE sigma, intercept
+    sigma) of criterion 6's five-rate sweep. The sigmas are those of the
+    OLS fit under the Poisson variance of the expected counts. n_bar is 0.3
+    so that a 3% slope bias is 8 sigma: at n_bar 0.05 the slope-EQE sigma
+    is 1.6% of its value, too wide for a 4-sigma bound to see that bias."""
     true_eqe = 0.27 * 0.79
     duration = 120.0
-    n_bar = 0.05
+    n_bar = 0.3
+    dark_rate = 720.0
     params = DetectorParams(absorptance_armchair=0.27, absorptance_zigzag=0.27,
-                            iqe=0.79, dark_rate_hz=720.0, dead_time_us=0.0)
+                            iqe=0.79, dark_rate_hz=dark_rate, dead_time_us=0.0)
+    rates = np.array([1e3, 2e3, 5e3, 1e4, 2e4])
     points = []
-    for i, f in enumerate((1e3, 2e3, 5e3, 1e4, 2e4)):
+    for i, f in enumerate(rates):
         record = detsim.simulate(params, CoherentPulseTrain(1550.0, f, n_bar),
                                  duration, seed=10 + i)
         points.append((f, record.n_detections))
     fit = analysis.eqe_from_frequency_sweep(points, n_bar, duration)
-    slope_ok = abs(fit.eqe_from_slope - true_eqe) < 3 * fit.eqe_from_slope_sigma
-    dark_counts = 720.0 * duration
-    intercept_ok = abs(fit.intercept - dark_counts) < fit.intercept_sigma
+    p_detect = 1 - math.exp(-n_bar * true_eqe)  # a pulse's photons count once
+    expected = duration * (rates * p_detect + dark_rate)
+    dx = rates - rates.mean()
+    sxx = np.sum(dx ** 2)
+    slope_weights = dx / sxx
+    intercept_weights = 1 / rates.size - rates.mean() * dx / sxx
+    eqe_sigma = math.sqrt(np.sum(slope_weights ** 2 * expected)) / (n_bar * duration)
+    intercept_sigma = math.sqrt(np.sum(intercept_weights ** 2 * expected))
+    return fit, p_detect / n_bar, dark_rate * duration, eqe_sigma, intercept_sigma
+
+
+def test_criterion_6_slope_method(sweep_fit):
+    # 4-sigma bounds: over 200 seed sets, correct code failed neither
+    fit, eqe, dark_counts, eqe_sigma, intercept_sigma = sweep_fit
+    slope_ok = abs(fit.eqe_from_slope - eqe) < 4 * eqe_sigma
+    intercept_ok = abs(fit.intercept - dark_counts) < 4 * intercept_sigma
     report(6, "frequency-sweep slope EQE and dark-dominated intercept",
            slope_ok and intercept_ok,
-           f"slope eqe={fit.eqe_from_slope:.4f}+-{fit.eqe_from_slope_sigma:.4f}, "
-           f"intercept={fit.intercept:.0f} vs {dark_counts:.0f}+-{fit.intercept_sigma:.0f}")
+           f"slope eqe={fit.eqe_from_slope:.4f} vs {eqe:.4f}+-{eqe_sigma:.4f}, "
+           f"intercept={fit.intercept:.0f} vs {dark_counts:.0f}+-{intercept_sigma:.0f}")
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_criterion_6_bounds_reject_biased_fits(sweep_fit, sign):
+    # a slope 3% off, or an intercept 10% of the dark counts off, fails them
+    fit, eqe, dark_counts, eqe_sigma, intercept_sigma = sweep_fit
+    assert abs((1 + sign * 0.03) * fit.eqe_from_slope - eqe) >= 4 * eqe_sigma
+    assert abs(fit.intercept + sign * 0.10 * dark_counts - dark_counts) >= 4 * intercept_sigma
 
 
 def test_criterion_7_dead_time_saturation():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.signal import find_peaks, peak_prominences
 
 from oracles import detect_events_loop, estimate_baseline_histogram, match_events
 from spdsim import analysis, detsim
-from spdsim.analysis import (count_rate, detect_events, edge_times, estimate_baseline,
+from spdsim.analysis import (detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
                              occupation_histogram)
 from spdsim.detsim import DetectorParams, EventRecord, synthesize_trace
@@ -206,6 +207,31 @@ class TestTraceMemory:
         assert peak <= 0.25 * 8 * self.n  # beyond the samples, allocated before tracing
 
 
+@st.composite
+def peak_histograms(draw):
+    """(counts, threshold): runs of one to five equal counts in 0-7, so flat
+    tops are common, also at either end of the array. The threshold is some
+    local maximum's exact prominence, as scipy measures it, or an integer
+    0-3, which integer counts often hit exactly too, or any float in 0-8."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 5)),
+                         min_size=1, max_size=15))
+    counts = np.repeat(*np.array(runs).T)
+    prominences = peak_prominences(counts, find_peaks(counts)[0])[0].tolist()
+    threshold = st.integers(0, 3) | st.floats(0.0, 8.0)
+    if prominences:
+        threshold = st.sampled_from(prominences) | threshold
+    return counts, draw(threshold)
+
+
+class TestProminentPeaks:
+    @settings(max_examples=600, deadline=None)
+    @given(peak_histograms())
+    def test_matches_scipy_find_peaks(self, case):
+        counts, threshold = case
+        want = find_peaks(counts, prominence=threshold)[0]
+        assert analysis._prominent_peaks(counts, threshold).tolist() == want.tolist()
+
+
 class TestOccupationHistogram:
     def test_constant_trace_single_peak(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.full(5000, 0.7))
@@ -239,40 +265,6 @@ class TestOccupationHistogram:
         trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100))
         with pytest.raises(ValueError):
             occupation_histogram(trace, 0.0)
-
-
-class TestCountRate:
-    def test_dark_rate_example(self):
-        result = count_rate(7200, 10.0)
-        assert result.rate_hz == pytest.approx(720.0)
-        assert result.sigma_hz == pytest.approx(math.sqrt(7200) / 10.0, rel=1e-12)
-
-    def test_zero_events_upper_bound(self):
-        result = count_rate(0, 10.0)
-        assert result.rate_hz == 0.0
-        assert result.upper95_hz == pytest.approx(3.0 / 10.0, rel=2e-3)
-
-    @pytest.mark.parametrize("n", [0, 1, 10, 1000])
-    def test_upper_bound_is_the_chi2_form_exactly(self, n):
-        # Gamma(n + 1) quantile == half the chi2(2n + 2) quantile, bit for bit
-        expected = 0.5 * stats.chi2.ppf(0.95, 2 * (n + 1)) / 10.0
-        assert count_rate(n, 10.0).upper95_hz == expected
-
-    def test_event_record_uses_detections(self):
-        record = EventRecord(np.array([5.0, 5.0, 9.0]), np.array([6.0, 7.0, 11.0]))
-        assert count_rate(record, 1.0).n_events == 2
-
-    def test_window_subrates_stationary(self):
-        params = DetectorParams(dark_rate_hz=5000.0, dead_time_us=0.0,
-                                hold_time_mean_us=1.0, max_occupancy=10 ** 9)
-        src = CoherentPulseTrain(1550.0, 1e4, 0.0)
-        record = detsim.simulate(params, src, 20.0, seed=14)
-        result = count_rate(record, 20.0, window_s=1.0)
-        counts = result.window_rates_hz * 1.0
-        expected = counts.mean()
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        pvalue = stats.chi2.sf(chi2, df=counts.size - 1)
-        assert pvalue > 0.01
 
 
 class TestEstimateEqe:

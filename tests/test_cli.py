@@ -576,11 +576,24 @@ def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "o").exists()
 
 
-# Runs every CLI command in one fresh interpreter, then lists the scipy modules
-# it loaded; the library functions that need scipy must still work after it.
+# Makes scipy unimportable, imports every spdsim module, runs every CLI command
+# and occupation_histogram in one fresh interpreter, then lists the scipy
+# modules it loaded.
 STARTUP_SCRIPT = textwrap.dedent("""
+    import importlib
+    import pkgutil
     import sys
     from pathlib import Path
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is not installed")
+
+    sys.meta_path.insert(0, NoScipy())
+    import spdsim
+    for module in pkgutil.iter_modules(spdsim.__path__):
+        importlib.import_module(f"spdsim.{module.name}")
     from spdsim import analysis, cli, detsim
 
     tmp = Path(sys.argv[1])
@@ -593,7 +606,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
         cli.main(["--version"])
     except SystemExit as exc:
         assert exc.code == 0
-    run("tmm", "point", "--config", cfg, "--out", tmp / "tmm")
+    for command in ("point", "map", "optimize"):
+        run("tmm", command, "--config", cfg, "--out", tmp / "tmm")
     run("source", "calibrate", "--config", cfg, "--out", tmp / "cal")
     for rate in (2000, 5000, 8000):
         run("simulate", "--config", tmp / f"cfg{rate}.yaml", "--out", sweep / f"f{rate}")
@@ -603,11 +617,10 @@ STARTUP_SCRIPT = textwrap.dedent("""
     run("analyze", "counts", "--config", cfg, "--light", sweep / "f5000",
         "--dark", tmp / "dark", "--out", tmp / "ana")
     run("analyze", "sweep", "--config", cfg, "--runs", sweep, "--out", tmp / "ana")
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print("scipy modules:", loaded)
     trace = detsim.read_trace(sweep / "f5000" / "trace")
     assert analysis.occupation_histogram(trace, 0.05).n_peaks >= 1
-    assert analysis.count_rate(0, 1.0).upper95_hz > 2.99
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print("scipy modules:", loaded)
 """)
 
 

@@ -454,10 +454,7 @@ class TestEventRecordChecks:
         captures = np.array([5.0, 5.0, 9.0, 9.0, 9.0, 12.0])
         record = EventRecord(captures, captures + 1.0)
         assert record.n_detections == 3
-        assert record.detection_times_us().tolist() == [5.0, 9.0, 12.0]
-        empty = EventRecord(np.array([]), np.array([]))
-        assert empty.n_detections == 0
-        assert empty.detection_times_us().size == 0
+        assert EventRecord(np.array([]), np.array([])).n_detections == 0
 
     def test_detection_collapse(self):
         record = EventRecord(np.array([5.0, 5.0, 9.0]), np.array([6.0, 7.0, 11.0]))
