@@ -1,10 +1,10 @@
-"""Event recovery, occupation histograms, and efficiency estimators.
+"""Event recovery, occupation histograms, edge timing and efficiency estimators.
 
 Mirrors the measurement pipeline: threshold the output trace into
-capture/release events, histogram the voltage into occupation levels, count
-events against the calibrated photon flux, and extract the external quantum
-efficiency either by direct dark subtraction or from the slope of counts
-versus repetition frequency.
+capture/release events, histogram the voltage into occupation levels, time
+the edges of the mean event, count events against the calibrated photon
+flux, and extract the external quantum efficiency either by direct dark
+subtraction or from the slope of counts versus repetition frequency.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detsim import EventRecord, TimeTrace
+from .detsim import LN9, EventRecord, TimeTrace
 from .source import PowerReading
 
 
@@ -279,135 +279,75 @@ def eqe_from_frequency_sweep(points, n_bar: float, duration_s: float) -> FitResu
 # ---------------------------------------------------------------------------
 # Edge timing
 
-
-def _smooth_slice(samples: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
-    """Boxcar-smoothed samples[a:b], padded with real neighbours (edge-safe)."""
-    if width <= 1:
-        return samples[a:b]
-    pad = width // 2 + 1
-    lo = max(0, a - pad)
-    hi = min(samples.size, b + pad)
-    kernel = np.ones(width) / width
-    smoothed = np.convolve(samples[lo:hi], kernel, mode="same")
-    return smoothed[a - lo:b - lo]
+_EDGE_BEFORE_US = 4.0  # an edge window opens this long before its instant
+_EDGE_AFTER_US = 12.0  # and closes this long after it
+_MIN_DWELL_US = 15.0  # a measured event dwells longer than this,
+_QUIET_BEFORE_US = 20.0  # follows every earlier release by more than this,
+_QUIET_AFTER_US = 12.0  # and precedes the next capture by more than this
 
 
-def _crossing_time(t_us: np.ndarray, v: np.ndarray, level: float, falling: bool,
-                   noisy: bool) -> float:
-    """Time at which a monotone transition crosses `level`.
-
-    Clean traces use the first threshold crossing with linear interpolation
-    between the bracketing samples. Noisy traces locate the crossing by the
-    occupation count (number of samples still on the starting side), which
-    stays unbiased under symmetric noise, then refine by interpolation.
-    """
-    passed = (v < level) if falling else (v > level)
-    if not passed.any() or passed.all():
-        raise ValueError("edge not resolved: level never crossed inside window")
-    dt = t_us[1] - t_us[0]
-    if noisy:
-        idx = int(np.count_nonzero(~passed))
-        idx = min(max(idx, 1), v.size - 1)
-    else:
-        idx = int(np.argmax(passed))
-        if idx == 0:
-            return float(t_us[0])
-    v0, v1 = v[idx - 1], v[idx]
-    if (v1 - v0) == 0 or (v0 < level) == (v1 < level):
-        return float(t_us[idx])
-    return float(t_us[idx - 1] + (level - v0) / (v1 - v0) * dt)
-
-
-def _edge_span(trace: TimeTrace, t_start_us: float, t_settle_us: float,
-               level_pre: tuple[float, float], level_post: tuple[float, float],
-               falling: bool) -> float:
-    """10-90% span of one transition starting near `t_start_us`."""
+def _windows(trace: TimeTrace, times_us) -> tuple[np.ndarray, int]:
+    """First sample of the edge window of each instant, and the window size."""
     dt = 1e6 / trace.sample_rate_hz
-    n = trace.n_samples
-
-    def window(lo, hi):
-        a = max(0, int(math.ceil(lo / dt)))
-        b = min(n, int(math.ceil(hi / dt)))
-        if b - a < 3:
-            raise ValueError("edge not resolved: too few samples around the event")
-        return trace.samples[a:b]
-
-    pre = window(*level_pre)
-    post = window(*level_post)
-    v_from = float(np.median(pre))
-    v_to = float(np.median(post))
-    depth = abs(v_from - v_to)
-    if depth <= 0:
-        raise ValueError("edge not resolved: zero depth")
-    noise = 1.4826 * float(np.median(np.abs(pre - np.median(pre))))
-    noisy = noise > depth / 64.0
-
-    seg_a = max(0, int(math.ceil((t_start_us - 0.25 * (t_settle_us - t_start_us)) / dt)))
-    seg_b = min(n, int(math.ceil(t_settle_us / dt)) + 1)
-    seg_t = np.arange(seg_a, seg_b) * dt
-    if seg_t.size < 4:
-        raise ValueError("edge not resolved at current sample rate")
-    if noisy:
-        # Smooth to ~depth/40 effective noise, bounded so the kernel cannot
-        # dominate the edge itself.
-        width = int(np.clip(math.ceil((40.0 * noise / depth) ** 2), 1, seg_t.size // 8))
-        seg_v = _smooth_slice(trace.samples, seg_a, seg_b, width)
-    else:
-        seg_v = trace.samples[seg_a:seg_b]
-
-    sign = -1.0 if falling else 1.0
-    l10 = v_from + sign * 0.1 * depth
-    l90 = v_from + sign * 0.9 * depth
-    t10 = _crossing_time(seg_t, seg_v, l10, falling, noisy)
-    t90 = _crossing_time(seg_t, seg_v, l90, falling, noisy)
-    span = t90 - t10
-    if span < dt:
-        span = dt  # resolution floor: one sample period
-    return span
+    before = round(_EDGE_BEFORE_US / dt)
+    starts = np.rint(np.asarray(times_us) / dt).astype(np.intp) - before
+    return starts, before + round(_EDGE_AFTER_US / dt)
 
 
-def edge_times(trace: TimeTrace, capture_us: float, release_us: float) -> tuple[float, float]:
-    """10-90% fall and rise times of one capture/release event.
+def _ten_ninety(edge: np.ndarray, opposite: np.ndarray, dt: float) -> float:
+    """10-90% time of a mean edge sampled every `dt` us, from the level that
+    opens its window to the one that opens `opposite`'s: -ln 9 / slope of a
+    line through log|v - v_to|, from the extreme on, over 80% to 5% of depth."""
+    m = max(1, round(_EDGE_BEFORE_US / 4 / dt))  # a level: the mean of a window's first us
+    v_to = opposite[:m].mean()
+    remaining = (edge - v_to) / (edge[:m].mean() - v_to)  # 1 before the edge, 0 once settled
+    first = int(np.argmax(remaining))  # the extreme: the edge has not yet begun
+    tail = remaining[first:]
+    lo, hi = int(np.argmax(tail < 0.8)), int(np.argmax(tail < 0.05))
+    if not tail[hi] < 0.05:
+        raise ValueError("edge not resolved: it does not settle inside its window")
+    if hi - lo < 2:
+        return dt  # resolution floor: one sample period
+    slope, offset = np.polyfit((first + np.arange(lo, hi)) * dt, np.log(tail[lo:hi]), 1)
+    if slope * m * dt + offset < 0:  # the edge began while its level was read
+        raise ValueError("edge not resolved: it starts inside its level window")
+    return max(-LN9 / slope, dt)
 
-    The event must sit fully inside the trace with enough surrounding
-    quiet time to establish the levels (depth at least ~8x the noise).
-    Returns times in microseconds.
-    """
-    dwell = release_us - capture_us
-    if dwell <= 0:
+
+def edge_times(trace: TimeTrace, capture_us, release_us) -> tuple[float, float]:
+    """10-90% fall and rise times, in us, of the mean edge of one event
+    (scalar times) or of many (equal-length arrays). Noise and finite
+    bandwidth jitter each instant (Naaman & Aumentado, PRL 96, 100201
+    (2006)), but past the jitter the mean edge keeps the exponential tail's
+    time constant, with 1/sqrt(K) of the noise of K events. The windows are
+    averaged one offset at a time, so the scratch is one sample per event."""
+    caps, rels = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (capture_us, release_us))
+    if caps.ndim != 1 or caps.shape != rels.shape or caps.size == 0:
+        raise ValueError("need one release time per capture time")
+    if np.any(rels <= caps):
         raise ValueError("release must follow capture")
-    fall = _edge_span(
-        trace,
-        t_start_us=capture_us,
-        t_settle_us=capture_us + 0.55 * dwell,
-        level_pre=(capture_us - 0.5 * dwell, capture_us - 0.02 * dwell),
-        level_post=(capture_us + 0.6 * dwell, capture_us + 0.95 * dwell),
-        falling=True,
-    )
-    rise = _edge_span(
-        trace,
-        t_start_us=release_us,
-        t_settle_us=release_us + 0.55 * dwell,
-        level_pre=(capture_us + 0.6 * dwell, capture_us + 0.98 * dwell),
-        level_post=(release_us + 0.6 * dwell, release_us + 0.95 * dwell),
-        falling=False,
-    )
-    return fall, rise
+    (cap_starts, size), (rel_starts, _) = _windows(trace, caps), _windows(trace, rels)
+    if cap_starts.min() < 0 or rel_starts.max() + size > trace.n_samples:
+        raise ValueError("edge not resolved: a window leaves the trace")
+    fall = np.array([trace.samples[cap_starts + j].mean() for j in range(size)])
+    rise = np.array([trace.samples[rel_starts + j].mean() for j in range(size)])
+    dt = 1e6 / trace.sample_rate_hz
+    return _ten_ninety(fall, rise, dt), _ten_ninety(rise, fall, dt)
 
 
-def mean_edge_times(trace: TimeTrace, events: EventRecord,
-                    max_events: int | None = None) -> tuple[float, float, int]:
-    """Average 10-90% fall/rise over the events that can be measured."""
-    falls = []
-    rises = []
-    n = events.n_captures if max_events is None else min(events.n_captures, max_events)
-    for i in range(n):
-        try:
-            f, r = edge_times(trace, events.capture_times_us[i], events.release_times_us[i])
-        except ValueError:
-            continue
-        falls.append(f)
-        rises.append(r)
-    if not falls:
+def mean_edge_times(trace: TimeTrace, events: EventRecord) -> tuple[float, float, int]:
+    """`edge_times` of every measurable event, and their number. An event is
+    measurable when it dwells over `_MIN_DWELL_US`, its capture follows every
+    earlier release by over `_QUIET_BEFORE_US`, its release precedes the next
+    capture by over `_QUIET_AFTER_US`, and its windows lie inside the trace."""
+    caps, rels = events.capture_times_us, events.release_times_us
+    earlier = np.maximum.accumulate(np.append(-np.inf, rels))[:-1]  # latest earlier release
+    later = np.append(caps, np.inf)[1:]  # next capture
+    (cap_starts, size), (rel_starts, _) = _windows(trace, caps), _windows(trace, rels)
+    keep = ((rels - caps > _MIN_DWELL_US) & (caps - earlier > _QUIET_BEFORE_US)
+            & (later - rels > _QUIET_AFTER_US) & (cap_starts >= 0)
+            & (rel_starts + size <= trace.n_samples))
+    if not keep.any():
         raise ValueError("no measurable events")
-    return float(np.mean(falls)), float(np.mean(rises)), len(falls)
+    fall, rise = edge_times(trace, caps[keep], rels[keep])
+    return fall, rise, int(np.count_nonzero(keep))

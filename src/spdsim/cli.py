@@ -212,7 +212,7 @@ def cmd_analyze(args) -> int:
                    "duration_s": trace.duration_s,
                    "rate_hz": events.n_captures / trace.duration_s}
         try:
-            fall, rise, n_used = analysis.mean_edge_times(trace, events, max_events=200)
+            fall, rise, n_used = analysis.mean_edge_times(trace, events)
             payload["edges"] = {"fall_10_90_us": fall, "rise_10_90_us": rise,
                                 "n_measured": n_used}
         except ValueError:

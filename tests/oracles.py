@@ -12,7 +12,9 @@ CSV writer, the trace renderer and the event detector; the package's array
 forms must give the same bytes. `read_events_csv_rows` is the line-by-line
 event CSV reader, whose arrays and errors the package's reader must match.
 `estimate_baseline_histogram` takes each window's mode from `np.histogram`,
-which the package bins in its own scratch.
+which the package bins in its own scratch. `eligible_edge_events` picks the
+events whose edges can be timed one event at a time, comparing each with
+every other, where the package takes a running maximum.
 """
 
 from __future__ import annotations
@@ -295,3 +297,21 @@ def detect_events_loop(trace: TimeTrace, threshold_v: float, hysteresis_v: float
             releases.append(u * dt_us)
         pos = u + 1
     return EventRecord(np.array(captures), np.array(releases), origins=None)
+
+
+def eligible_edge_events(events: EventRecord, n_samples: int, sample_rate_hz: float) -> np.ndarray:
+    """Mask of the events `analysis.mean_edge_times` times: each dwells over
+    15 us, the release of every event before it in the record precedes its
+    capture by over 20 us, every later capture follows its release by over
+    12 us, and its edge windows, 4 us before to 12 us after each instant on
+    the sample grid, lie inside the trace's `n_samples`."""
+    dt = 1e6 / sample_rate_hz
+    caps, rels = events.capture_times_us.tolist(), events.release_times_us.tolist()
+    keep = np.zeros(len(caps), dtype=bool)
+    for i, (cap, rel) in enumerate(zip(caps, rels)):
+        quiet_before = all(cap - rels[j] > 20.0 for j in range(i))
+        quiet_after = all(caps[j] - rel > 12.0 for j in range(i + 1, len(caps)))
+        inside = (round(cap / dt) - round(4.0 / dt) >= 0
+                  and round(rel / dt) + round(12.0 / dt) <= n_samples)
+        keep[i] = rel - cap > 15.0 and quiet_before and quiet_after and inside
+    return keep

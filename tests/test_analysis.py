@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.signal import find_peaks, peak_prominences
 
-from oracles import detect_events_loop, estimate_baseline_histogram, match_events
+from oracles import (detect_events_loop, eligible_edge_events, estimate_baseline_histogram,
+                     match_events)
 from spdsim import analysis, detsim
 from spdsim.analysis import (detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
@@ -387,7 +389,7 @@ class TestFrequencySweep:
 class TestEdgeTimes:
     def test_exponential_identity(self):
         # 10-90% of a single exponential is tau ln 9
-        for tau_scale in (0.8, 1.0, 1.3):
+        for tau_scale in (0.8, 1.0, 1.3, 2.74):  # up to a 6.3 us fall
             params = DetectorParams(step_amplitude_v=1.0, noise_sigma_v=0.0,
                                     fall_time_us=2.3 * tau_scale,
                                     rise_time_us=2.1 * tau_scale)
@@ -431,3 +433,79 @@ class TestEdgeTimes:
         trace = synthesize_trace(record, params, 1e-5, 10e6, seed=0)
         with pytest.raises(ValueError, match="edge not resolved"):
             edge_times(trace, 4.0, 4.4)
+
+    @pytest.mark.parametrize("fall_us, rise_us", [(2.3, 2.1), (4.0, 4.0)])
+    def test_detected_events_give_unbiased_edges(self, fall_us, rise_us):
+        params = DetectorParams(fall_time_us=fall_us, rise_time_us=rise_us)
+        for seed in range(1, 5):
+            record = detsim.simulate(params, CoherentPulseTrain(1550.0, 200e3, 0.3), 0.3, seed)
+            trace = synthesize_trace(record, params, 0.3, 10e6, seed=seed + 1000)
+            fall, rise, _ = mean_edge_times(trace, detect_events(trace, 0.5, 0.2, 1.0))
+            assert fall == pytest.approx(fall_us, rel=0.02)
+            assert rise == pytest.approx(rise_us, rel=0.02)
+
+    @pytest.mark.parametrize("fall_us, rise_us", [(6.3, 5.7), (8.0, 8.0)])
+    def test_long_edges_read_right_or_raise(self, fall_us, rise_us):
+        # A release fires with 30% of the step left, so the low level read
+        # before it overlaps a rise this slow.
+        params = DetectorParams(fall_time_us=fall_us, rise_time_us=rise_us)
+        record = detsim.simulate(params, CoherentPulseTrain(1550.0, 200e3, 0.3), 0.3, 1)
+        trace = synthesize_trace(record, params, 0.3, 10e6, seed=1001)
+        found = detect_events(trace, 0.5, 0.2, 1.0)
+        try:
+            fall, rise, _ = mean_edge_times(trace, found)
+        except ValueError as exc:
+            assert "edge not resolved" in str(exc)
+            return
+        assert fall == pytest.approx(fall_us, rel=0.05)
+        assert rise == pytest.approx(rise_us, rel=0.05)
+
+    def test_scratch_is_one_sample_per_event(self):
+        record = spaced_events(1000, spacing_us=50.0, dwell_us=20.0)
+        params = DetectorParams(step_amplitude_v=1.0, noise_sigma_v=0.0)
+        duration = (record.release_times_us[-1] + 30.0) * 1e-6
+        trace = synthesize_trace(record, params, duration, 50e6, seed=0)
+        (fall, rise, n_used), peak = traced_peak(mean_edge_times, trace, record)
+        assert n_used == 1000
+        assert fall == pytest.approx(2.3, rel=0.01)
+        assert peak < 1e6  # events x 800-sample windows in one gather: 6.4 MB
+
+
+@st.composite
+def edge_records(draw):
+    """(trace, record): up to 12 events on a 0.5 us grid. Each capture comes
+    some quiet time after the latest release so far, often at the bounds; a
+    negative one makes it overlap, or tie with, the capture before. The
+    first and last windows may leave a trace of zeros at 1, 2.5 or 10 MS/s."""
+    half_us = st.integers(-60, 240).map(lambda k: 0.5 * k)
+    quiet = st.sampled_from([-30.0, 0.0, 11.5, 12.0, 12.5, 19.5, 20.0, 20.5]) | half_us
+    dwell = st.sampled_from([0.0, 14.5, 15.0, 15.5, 100.0]) | half_us.map(abs)
+    caps = [draw(st.sampled_from([0.0, 3.5, 4.0, 4.5, 20.0]))]
+    rels, latest = [], -math.inf
+    for gap, dwell_us in draw(st.lists(st.tuples(quiet, dwell), max_size=12)):
+        caps.append(max(caps[-1], latest + gap))
+        rels.append(caps[-1] + dwell_us)
+        latest = max(latest, rels[-1])
+    rate = draw(st.sampled_from([1e6, 2.5e6, 1e7]))
+    end_us = max(latest, 20.0) + draw(st.sampled_from([0.0, 11.5, 12.0, 12.5, 30.0]))
+    n = max(1, round(end_us * rate / 1e6) + draw(st.integers(-2, 2)))
+    return detsim.TimeTrace(rate, 0.0, np.zeros(n)), EventRecord(caps[1:], rels)
+
+
+class TestEdgeEligibility:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_records())
+    def test_matches_loop_oracle(self, case):
+        trace, record = case
+        keep = eligible_edge_events(record, trace.n_samples, trace.sample_rate_hz)
+        calls = []
+        with mock.patch.object(analysis, "edge_times",
+                               lambda _, caps, rels: calls.append((caps, rels)) or (1.0, 2.0)):
+            if not keep.any():
+                with pytest.raises(ValueError, match="no measurable events"):
+                    mean_edge_times(trace, record)
+                return
+            assert mean_edge_times(trace, record) == (1.0, 2.0, np.count_nonzero(keep))
+        [(caps, rels)] = calls
+        assert caps.tolist() == record.capture_times_us[keep].tolist()
+        assert rels.tolist() == record.release_times_us[keep].tolist()

@@ -441,6 +441,21 @@ class TestCliAnalyze:
         payload = json.loads((ana / "trace_analysis.json").read_text())
         assert payload["n_events"] >= 0
 
+    def test_trace_edges_use_every_measurable_event(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "source": {"mean_photons": 0.3, "repetition_rate_hz": 200e3},
+            "run": {"duration_s": 0.2, "seed": 8, "sample_rate_hz": 1e7,
+                    "trace_duration_s": 0.2, "out_dir": str(tmp_path / "unused")},
+        })
+        out, ana = tmp_path / "run", tmp_path / "ana"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 0
+        assert run_cli("analyze", "trace", "--config", cfg,
+                       "--trace", out / "trace", "--out", ana) == 0
+        edges = json.loads((ana / "trace_analysis.json").read_text())["edges"]
+        assert edges["n_measured"] > 200
+        assert edges["fall_10_90_us"] == pytest.approx(DEFAULT_PARAMS.fall_time_us, rel=0.05)
+        assert edges["rise_10_90_us"] == pytest.approx(DEFAULT_PARAMS.rise_time_us, rel=0.05)
+
     def test_counts_pipeline(self, tmp_path):
         cfg = simulate_cfg(tmp_path, duration_s=20.0)
         light, dark = tmp_path / "light", tmp_path / "dark"
