@@ -298,9 +298,11 @@ def _ten_ninety(edge: np.ndarray, opposite: np.ndarray, dt: float) -> float:
     """10-90% time of a mean edge sampled every `dt` us, from the level that
     opens its window to the one that opens `opposite`'s: -ln 9 / slope of a
     line through log|v - v_to|, from the extreme on, over 80% to 5% of depth."""
-    m = max(1, round(_EDGE_BEFORE_US / 4 / dt))  # a level: the mean of a window's first us
-    v_to = opposite[:m].mean()
-    remaining = (edge - v_to) / (edge[:m].mean() - v_to)  # 1 before the edge, 0 once settled
+    m = max(1, round(_EDGE_BEFORE_US / 4 / dt))  # each level: the mean of a window's first 1 us
+    v_from, v_to = edge[:m].mean(), opposite[:m].mean()
+    if v_from == v_to:
+        raise ValueError("edge not resolved: no step between the levels")
+    remaining = (edge - v_to) / (v_from - v_to)  # 1 before the edge, 0 once settled
     first = int(np.argmax(remaining))  # the extreme: the edge has not yet begun
     tail = remaining[first:]
     lo, hi = int(np.argmax(tail < 0.8)), int(np.argmax(tail < 0.05))
@@ -322,10 +324,8 @@ def edge_times(trace: TimeTrace, capture_us, release_us) -> tuple[float, float]:
     time constant, with 1/sqrt(K) of the noise of K events. The windows are
     averaged one offset at a time, so the scratch is one sample per event."""
     caps, rels = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (capture_us, release_us))
-    if caps.ndim != 1 or caps.shape != rels.shape or caps.size == 0:
-        raise ValueError("need one release time per capture time")
-    if np.any(rels <= caps):
-        raise ValueError("release must follow capture")
+    if caps.ndim != 1 or caps.shape != rels.shape or caps.size == 0 or np.any(rels <= caps):
+        raise ValueError("release must follow capture, one release per capture")
     (cap_starts, size), (rel_starts, _) = _windows(trace, caps), _windows(trace, rels)
     if cap_starts.min() < 0 or rel_starts.max() + size > trace.n_samples:
         raise ValueError("edge not resolved: a window leaves the trace")
