@@ -56,25 +56,17 @@ class MaterialDispersion:
         wl = np.asarray(self.wavelength_nm, dtype=float).copy()
         n = np.atleast_2d(np.asarray(self.n, dtype=float)).copy()
         k = np.atleast_2d(np.asarray(self.k, dtype=float)).copy()
-        for arr in (wl, n, k):
+        for attr, arr in (("wavelength_nm", wl), ("n", n), ("k", k)):
             arr.setflags(write=False)  # tables are immutable after load
-        object.__setattr__(self, "wavelength_nm", wl)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+            object.__setattr__(self, attr, arr)
         if wl.ndim != 1 or wl.size < 1:
             raise DispersionError(f"{self.name}: need at least one sample")
         if n.shape != k.shape or n.shape[1] != wl.size:
             raise DispersionError(f"{self.name}: n/k shape mismatch with wavelength grid")
         if n.shape[0] not in (1, 2):
             raise DispersionError(f"{self.name}: expected 1 or 2 axes, got {n.shape[0]}")
-        if wl.size > 1 and not np.all(np.diff(wl) > 0):
-            raise DispersionError(f"{self.name}: wavelengths must be strictly increasing")
-        if np.any(wl <= 0):
-            raise DispersionError(f"{self.name}: wavelengths must be positive")
-        if np.any(n < 0):
-            raise DispersionError(f"{self.name}: negative refractive index")
-        if np.any(k < 0):
-            raise DispersionError(f"{self.name}: negative extinction")
+        if fault := _first_fault(wl, n, k):
+            raise DispersionError(f"{self.name}: sample {fault[0]}: {fault[1]}")
 
     @property
     def axes(self) -> int:
@@ -95,6 +87,20 @@ class MaterialDispersion:
         lo, hi = wavelength_range
         return cls(name, np.array([lo, hi]), np.array([[n, n]]), np.array([[k, k]]),
                    header=(f"constant index n={n}, k={k}",))
+
+
+def _first_fault(wl: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[int, str] | None:
+    """(sample index, reason) of the first sample that breaks a table rule, or
+    None. Each sample is checked against the rules in the order listed here."""
+    rules = [
+        ("non-finite value", ~np.isfinite(np.vstack([wl, n, k])).all(axis=0)),
+        ("wavelength not positive", wl <= 0),
+        ("wavelengths not strictly increasing", np.append(False, wl[1:] <= wl[:-1])),
+        ("negative refractive index", (n < 0).any(axis=0)),
+        ("negative extinction", (k < 0).any(axis=0)),
+    ]
+    hits = np.argwhere(np.array([broken for _, broken in rules]).T)  # by sample, then rule
+    return (int(hits[0, 0]), rules[hits[0, 1]][0]) if hits.size else None
 
 
 def _axis_index(material: MaterialDispersion, axis: Polarization | str) -> int:
@@ -135,19 +141,17 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
     """Parse a dispersion file into a validated table.
 
     `source` is a path or an open text stream. The material name defaults to
-    the file stem. Rejects unsorted wavelengths and negative n or k, reporting
-    the offending row number.
+    the file stem. A row that breaks a table rule (`_first_fault`) raises,
+    naming its line number.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if name is None:
-            name = path.stem
-        text = path.read_text(encoding="utf-8")
+        source = Path(source)
+        text = source.read_text(encoding="utf-8")
     else:
         text = source.read()
-        if name is None:
-            name = getattr(source, "name", "dispersion")
-            name = Path(str(name)).stem
+    if name is None:
+        name = getattr(source, "name", "dispersion")  # a stream's name, or a path's file name
+        name = Path(str(name)).stem
 
     header: list[str] = []
     rows: list[tuple[int, list[float]]] = []
@@ -158,9 +162,8 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
         if line.startswith("#"):
             header.append(line.lstrip("#").strip())
             continue
-        parts = [p.strip() for p in line.split(",")]
         try:
-            values = [float(p) for p in parts]
+            values = [float(p) for p in line.split(",")]
         except ValueError as exc:
             raise DispersionError(f"{name}: row {lineno}: cannot parse '{raw}'") from exc
         if len(values) not in (3, 5):
@@ -168,6 +171,8 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
                 f"{name}: row {lineno}: expected 3 columns (isotropic) or 5 "
                 f"(anisotropic), got {len(values)}"
             )
+        if rows and len(values) != len(rows[0][1]):
+            raise DispersionError(f"{name}: row {lineno}: inconsistent column count")
         rows.append((lineno, values))
 
     if not header:
@@ -175,28 +180,10 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
     if not rows:
         raise DispersionError(f"{name}: no data rows")
 
-    width = len(rows[0][1])
-    prev_wl = -np.inf
-    for lineno, values in rows:
-        if len(values) != width:
-            raise DispersionError(f"{name}: row {lineno}: inconsistent column count")
-        wl = values[0]
-        if wl <= prev_wl:
-            raise DispersionError(f"{name}: row {lineno}: wavelengths not strictly increasing")
-        prev_wl = wl
-        for j, v in enumerate(values[1:], start=1):
-            if v < 0:
-                kind = "negative extinction" if j % 2 == 0 else "negative refractive index"
-                raise DispersionError(f"{name}: row {lineno}: {kind} ({v})")
-
-    data = np.array([v for _, v in rows], dtype=float)
-    wl = data[:, 0]
-    if width == 3:
-        n = data[:, 1][None, :]
-        k = data[:, 2][None, :]
-    else:
-        n = np.stack([data[:, 1], data[:, 3]])
-        k = np.stack([data[:, 2], data[:, 4]])
+    data = np.array([values for _, values in rows])
+    wl, n, k = data[:, 0], data[:, 1::2].T, data[:, 2::2].T
+    if fault := _first_fault(wl, n, k):
+        raise DispersionError(f"{name}: row {rows[fault[0]][0]}: {fault[1]}")
     return MaterialDispersion(name, wl, n, k, header=tuple(header))
 
 

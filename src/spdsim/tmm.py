@@ -48,8 +48,9 @@ class Layer:
     thickness_nm: float
 
     def __post_init__(self):
-        if self.thickness_nm < 0:
-            raise ValueError(f"layer '{self.material.name}': negative thickness")
+        if not self.thickness_nm >= 0:  # written so that NaN fails
+            raise ValueError(
+                f"layer '{self.material.name}': thickness must be >= 0, got {self.thickness_nm}")
 
 
 @dataclass(frozen=True)

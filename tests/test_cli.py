@@ -339,6 +339,21 @@ class TestCliTmm:
         assert err.startswith("error: source.wavelength_nm: expected a number, got 1000")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("rows, fault", [
+        ("1000,2.1,0.0\n1550,nan,0.0\n", "row 3: non-finite value"),
+        ("1000,2.1,0.0\n1550,2.0,inf\n", "row 3: non-finite value"),
+        ("0,2.0,0.0\n", "row 2: wavelength not positive"),
+    ], ids=["nan", "inf", "zero-wavelength"])
+    def test_table_fault_exits_2_naming_its_row(self, tmp_path, capsys, rows, fault):
+        table = tmp_path / "bad.csv"
+        table.write_text("# synthetic table with one faulty row\n" + rows, encoding="utf-8")
+        layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
+        layers[0]["material"] = str(table)
+        cfg = write_cfg(tmp_path, {"stack": {"layers": layers}})
+        assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: stack: bad: {fault}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unpolarized_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, {"tmm": {"axis": "unpolarized"}})
         assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "u") == 0

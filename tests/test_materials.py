@@ -1,4 +1,5 @@
 import io
+import math
 from importlib import resources
 
 import numpy as np
@@ -46,10 +47,58 @@ class TestLoadDispersion:
         with pytest.raises(DispersionError, match="column"):
             load_text(HEADER + "1000,2.1,0.0\n1550,2.0,0.0,3.0,0.1\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1000,2.1,0.0\n1550,nan,0.0\n", "row 3: non-finite value"),
+        ("1000,2.1,0.0\n1550,2.0,inf\n", "row 3: non-finite value"),
+        ("1000,2.1,0.0,3.3,-inf\n1550,2.0,0.0,3.1,0.0\n", "row 2: non-finite value"),
+        ("nan,2.1,0.0\n", "row 2: non-finite value"),
+        ("1000,2.1,0.0\n\n0,2.0,0.0\n", "row 4: wavelength not positive"),
+        ("-5,-2.1,0.0\n", "row 2: wavelength not positive"),  # the first rule it breaks
+        ("1000,2.1,0.0\n1000,2.0,0.0\n", "row 3: wavelengths not strictly increasing"),
+    ], ids=["nan-n", "inf-k", "-inf-zigzag-k", "nan-wavelength", "zero-wavelength",
+            "negative-wavelength-and-n", "repeated-wavelength"])
+    def test_rule_faults_name_their_row(self, rows, message):
+        with pytest.raises(DispersionError, match=f"^test: {message}$"):
+            load_text(HEADER + rows)
+
+    def test_a_parse_fault_is_found_before_a_rule_fault(self):
+        # Rows are parsed and counted in one pass; the rules then run on the table.
+        with pytest.raises(DispersionError, match="^test: row 3: inconsistent column count$"):
+            load_text(HEADER + "1000,-2.1,0.0\n1550,2.0,0.0,3.0,0.1\n")
+
     def test_anisotropic_file(self):
         mat = load_text(HEADER + "1000,3.7,0.5,3.3,0.005\n2000,3.4,0.2,3.1,0.002\n")
         assert mat.is_anisotropic
         assert index_at(mat, 1000, Polarization.ZIGZAG) == pytest.approx(3.3 + 0.005j)
+
+
+class TestMaterialDispersionRules:
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("wl", 1, math.nan, "sample 1: non-finite value"),
+        ("n", 2, math.inf, "sample 2: non-finite value"),
+        ("k", 0, -math.inf, "sample 0: non-finite value"),
+        ("wl", 0, 0.0, "sample 0: wavelength not positive"),
+        ("wl", 2, 1500.0, "sample 2: wavelengths not strictly increasing"),
+        ("n", 1, -0.5, "sample 1: negative refractive index"),
+        ("k", 2, -0.1, "sample 2: negative extinction"),
+    ], ids=["nan-wavelength", "inf-n", "-inf-k", "zero-wavelength", "repeated-wavelength",
+            "negative-n", "negative-k"])
+    def test_each_rule_names_its_sample(self, field, index, value, message):
+        table = {"wl": [1000.0, 1500.0, 2000.0], "n": [2.0, 2.1, 2.2], "k": [0.0, 0.1, 0.2]}
+        table[field][index] = value
+        with pytest.raises(DispersionError, match=f"^rule: {message}$"):
+            MaterialDispersion("rule", table["wl"], [table["n"]], [table["k"]])
+
+    def test_first_faulty_sample_then_first_rule(self):
+        # Sample 1 breaks three later rules and sample 2 the first: the first
+        # faulty sample is named, with the first rule it breaks.
+        with pytest.raises(DispersionError, match="^rule: sample 1: wavelength not positive$"):
+            MaterialDispersion("rule", [1000.0, -1.0, 2000.0], [[2.0, -1.0, math.nan]],
+                               [[0.0, 0.0, 0.0]])
+
+    def test_zigzag_axis_is_checked(self):
+        with pytest.raises(DispersionError, match="^bp: sample 0: negative extinction$"):
+            MaterialDispersion("bp", [1000.0], [[3.7], [3.3]], [[0.5], [-0.005]])
 
 
 class TestIndexAt:

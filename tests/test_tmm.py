@@ -52,6 +52,10 @@ class TestCharacteristicMatrix:
         with pytest.raises(ValueError):
             Layer(const("a", 2.0), -1.0)
 
+    def test_nan_thickness_rejected(self):
+        with pytest.raises(ValueError, match="^layer 'hbn': thickness must be >= 0, got nan$"):
+            Layer(materials.bundled("hbn"), float("nan"))
+
 
 class TestStackResponse:
     def test_bare_fresnel_interface(self):
