@@ -310,7 +310,9 @@ def _ten_ninety(edge: np.ndarray, opposite: np.ndarray, dt: float) -> float:
         raise ValueError("edge not resolved: it does not settle inside its window")
     if hi - lo < 2:
         return dt  # resolution floor: one sample period
-    slope, offset = np.polyfit((first + np.arange(lo, hi)) * dt, np.log(tail[lo:hi]), 1)
+    # The noise of log(tail) grows as 1/tail, so each sample is weighted by tail.
+    slope, offset = np.polyfit((first + np.arange(lo, hi)) * dt, np.log(tail[lo:hi]), 1,
+                               w=tail[lo:hi])
     if slope * m * dt + offset < 0:  # the edge began while its level was read
         raise ValueError("edge not resolved: it starts inside its level window")
     return max(-LN9 / slope, dt)
