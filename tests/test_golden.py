@@ -44,7 +44,7 @@ GOLDEN = {
     "manifest.json": "fd7c539a1a1578ecb8922088324e88fcfeea9d9172934706a83e877e2519a56d",
     "response.json": "2126622aaeb7a807194e5cb1d5e67ab5b27134fcb9f01cfdf91e67a90dffec63",
     "detected_events.csv": "5cb628248943fd4cdf8342412048463e73175fafa59fd5fe795d086cbc05a9a9",
-    "trace_analysis.json": "f927648d2d4d9e41f017412a4a4b4f1ecb82fc8e827c083947b8edd84f07cf3b",
+    "trace_analysis.json": "b6faef7b0e9b4dc543920afe7951214200d3c54353a1f307b220e2064ee229d3",
     "map.csv": "bb369a8c5a5a1515827660efda104930ef50dd6a7721ad538b90e73e725f6d39",
     "map_summary.json": "d0a21ef91d672593b7f8ec0ed4de1ca96df3e6c6da5071202026528d3b16aa28",
     "optimum.json": "8e8157e5e53d741d320163b8d7bb36114ab357483caaf31afe1ac13e3194f04a",
