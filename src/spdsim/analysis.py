@@ -17,6 +17,8 @@ import numpy as np
 from .detsim import LN9, EventRecord, TimeTrace
 from .source import PowerReading
 
+BASELINE_WINDOW_S = 0.01  # the span of each baseline window of `detect_events`
+
 
 def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
     """(start index, histogram mode) of each consecutive baseline window.
@@ -85,7 +87,7 @@ def _mode(window: np.ndarray, scratch) -> tuple[float, float, float]:
 
 
 def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
-                  min_width_us: float, baseline_window_s: float = 0.01) -> EventRecord:
+                  min_width_us: float, baseline_window_s: float = BASELINE_WINDOW_S) -> EventRecord:
     """Hysteresis thresholding of downward pulses.
 
     A capture fires when the trace drops below baseline - threshold; the

@@ -215,8 +215,9 @@ def cmd_analyze(args) -> int:
             fall, rise, n_used = analysis.mean_edge_times(trace, events)
             payload["edges"] = {"fall_10_90_us": fall, "rise_10_90_us": rise,
                                 "n_measured": n_used}
-        except ValueError:
-            payload["edges"] = None
+        except ValueError as exc:  # the events stand; say why their edges were not timed
+            payload.update(edges=None, edges_unresolved=str(exc))
+            print(f"warning: edges not timed: {exc}", file=sys.stderr)
         out = _out_dir(args, cfg)
         detsim.write_events_csv(events, out / "detected_events.csv")
         _write_json(out / "trace_analysis.json", payload)
@@ -295,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, default=None, help="YAML config document")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
 
     p_tmm = sub.add_parser("tmm", help="stack optics: point response, map, optimize")
     p_tmm.add_argument("tmm_command", choices=["point", "map", "optimize"])
@@ -309,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the detection-cycle simulator")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None, help="override run.seed")
     p_sim.add_argument("--shutter", choices=["open", "closed"], default="open",
                        help="'closed' blocks the laser (dark run), keeping the dark process")
     p_sim.set_defaults(func=cmd_simulate)

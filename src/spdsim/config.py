@@ -19,11 +19,11 @@ from typing import Any
 
 import yaml
 
-from . import device, materials
+from . import analysis, device, materials
 from .detsim import DetectorParams
 from .source import (Attenuator, CoherentPulseTrain, MultimodeFiber, OpticalChain,
                      Polarizer, PowerReading, PulsePolarization, Splitter)
-from .tmm import Layer, LayerStack, stack_response
+from .tmm import STEP_NM, Layer, LayerStack, stack_response
 
 
 class ConfigError(ValueError):
@@ -53,14 +53,14 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "threshold_v": 0.5,
         "hysteresis_v": 0.2,
         "min_width_us": 1.0,
-        "baseline_window_s": 0.01,
+        "baseline_window_s": analysis.BASELINE_WINDOW_S,
     },
     "tmm": {
         "wavelength_nm": device.DESIGN_WAVELENGTH_NM,
         "axis": "armchair",
         "top_range_nm": [0.0, 400.0],
         "bottom_range_nm": [0.0, 400.0],
-        "step_nm": 2.0,
+        "step_nm": STEP_NM,
     },
     "run": {
         "duration_s": 1.0,

@@ -287,10 +287,11 @@ def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float
     n = int(round(duration_s * sample_rate_hz))
     check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
     for edge in (params.fall_time_us, params.rise_time_us):
-        if edge > 0 and sample_rate_hz < 10.0 / (edge * 1e-6):
+        need_hz = 10.0 / (edge * 1e-6) if edge > 0 else 0.0
+        if sample_rate_hz < need_hz:
             raise ValueError(
                 f"sample rate {sample_rate_hz:g} Hz too low to resolve a "
-                f"{edge:g} us edge (need >= {10.0 / (edge * 1e-6):g} Hz)")
+                f"{edge:g} us edge (need >= {need_hz:g} Hz)")
     return n
 
 

@@ -35,6 +35,8 @@ import numpy as np
 from . import check_memory
 from .materials import AIR, MaterialDispersion, Polarization, index_at
 
+STEP_NM = 2.0  # the spacer grid step of a thickness map, and optimize's coarse step
+
 # Peak bytes per cell of `absorption_map` with its conservation error, measured
 # with tracemalloc on the default stack: 288 unpolarized, 208 along one axis.
 _CELL_BYTES = 290
@@ -226,7 +228,7 @@ def optimize_thicknesses(stack_template: LayerStack,
                          bottom_bounds_nm: tuple[float, float],
                          wavelength_nm: float,
                          axis: Polarization | str = Polarization.ARMCHAIR,
-                         coarse_step_nm: float = 2.0,
+                         coarse_step_nm: float = STEP_NM,
                          sweep_layers: tuple[int, int, int] | None = None) -> ThicknessOptimum:
     """Maximize absorber absorptance over the two spacer thicknesses.
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdsim import cli, config as cfgmod, detsim
+from spdsim import analysis, cli, config as cfgmod, detsim, tmm
 from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
                            build_stack, load_config)
 from spdsim.detsim import DetectorParams
@@ -102,6 +103,12 @@ class TestConfig:
         # The bundled stack at the default spacers, not the paper's defaults.
         assert params.absorptance_armchair == pytest.approx(0.5252, abs=5e-5)
         assert params.absorptance_zigzag == pytest.approx(0.0067, abs=5e-5)
+
+    def test_function_defaults_are_the_config_defaults(self):
+        window = inspect.signature(analysis.detect_events).parameters["baseline_window_s"]
+        step = inspect.signature(tmm.optimize_thicknesses).parameters["coarse_step_nm"]
+        assert window.default == DEFAULT_CONFIG["analysis"]["baseline_window_s"] == 0.01
+        assert step.default == DEFAULT_CONFIG["tmm"]["step_nm"] == 2.0
 
     def test_detector_defaults_are_the_dataclass_and_the_paper_eqe(self):
         assert build_detector(load_config()) == DEFAULT_PARAMS
@@ -404,6 +411,16 @@ class TestCliSimulate:
         assert run_cli("simulate", "--config", cfg, "--out", out_b, "--seed", 123) == 0
         assert (out_a / "events.csv").read_bytes() != (out_b / "events.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv", [["tmm", "point"], ["tmm", "map"], ["tmm", "optimize"],
+                                      ["source", "calibrate"], ["analyze", "trace"],
+                                      ["analyze", "counts"], ["analyze", "sweep"]],
+                             ids=lambda argv: "-".join(argv))
+    def test_only_simulate_takes_a_seed(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", 1, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_shutter_closed_keeps_dark_process(self, tmp_path):
         cfg = simulate_cfg(tmp_path, duration_s=2.0)
         out = tmp_path / "dark"
@@ -466,7 +483,9 @@ class TestCliAnalyze:
         assert run_cli("simulate", "--config", cfg, "--out", out) == 0
         assert run_cli("analyze", "trace", "--config", cfg,
                        "--trace", out / "trace", "--out", ana) == 0
-        edges = json.loads((ana / "trace_analysis.json").read_text())["edges"]
+        payload = json.loads((ana / "trace_analysis.json").read_text())
+        assert "edges_unresolved" not in payload  # only a null `edges` carries a reason
+        edges = payload["edges"]
         assert edges["n_measured"] > 200
         assert edges["fall_10_90_us"] == pytest.approx(DEFAULT_PARAMS.fall_time_us, rel=0.05)
         assert edges["rise_10_90_us"] == pytest.approx(DEFAULT_PARAMS.rise_time_us, rel=0.05)
@@ -569,7 +588,7 @@ class TestCliAnalyze:
         assert err.count("\n") == 1
         assert not (tmp_path / "ana").exists()
 
-    def test_trace_with_no_events_reports_none(self, tmp_path):
+    def test_trace_with_no_events_reports_none(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "detector": {"dark_rate_hz": 0.0, "noise_sigma_v": 0.02},
             "source": {"mean_photons": 0.0},
@@ -584,6 +603,32 @@ class TestCliAnalyze:
         payload = json.loads((ana / "trace_analysis.json").read_text())
         assert payload["n_events"] == 0
         assert payload["edges"] is None
+        assert payload["edges_unresolved"] == "no measurable events"
+        captured = capsys.readouterr()
+        assert captured.err == "warning: edges not timed: no measurable events\n"
+        assert captured.out.count("\n") == 2  # one line from each command
+
+    def test_edges_too_slow_to_time_say_why(self, tmp_path, capsys):
+        # A release fires with 30% of an 8 us rise left, so the low level read
+        # before it overlaps the rise; the 651 events stand.
+        cfg = write_cfg(tmp_path, {
+            "detector": {"fall_time_us": 8.0, "rise_time_us": 8.0},
+            "source": {"mean_photons": 0.3, "repetition_rate_hz": 200e3},
+            "run": {"duration_s": 0.1, "seed": 5, "sample_rate_hz": 1e7,
+                    "trace_duration_s": 0.1, "out_dir": str(tmp_path / "unused")},
+        })
+        out, ana = tmp_path / "run", tmp_path / "ana"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("analyze", "trace", "--config", cfg,
+                       "--trace", out / "trace", "--out", ana) == 0
+        payload = json.loads((ana / "trace_analysis.json").read_text())
+        assert payload["n_events"] == 651 and payload["edges"] is None
+        reason = "edge not resolved: it starts inside its level window"
+        assert payload["edges_unresolved"] == reason
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: edges not timed: {reason}\n"
+        assert captured.out == f"wrote {ana / 'detected_events.csv'}: 651 events\n"
 
 
 @pytest.mark.parametrize("argv", [

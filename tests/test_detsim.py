@@ -397,7 +397,8 @@ class TestSynthesizeTrace:
 
     def test_sample_rate_too_low(self):
         params = DetectorParams(fall_time_us=2.3)
-        with pytest.raises(ValueError, match="sample rate"):
+        need = r"too low to resolve a 2.3 us edge \(need >= 4.34783e\+06 Hz\)"
+        with pytest.raises(ValueError, match=need):
             synthesize_trace(EventRecord(np.array([]), np.array([])), params,
                              0.001, 1e6, seed=0)
 
