@@ -48,8 +48,8 @@ def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np
     scratch = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
     modes = np.empty(starts.size)
     lows, highs = np.empty(starts.size), np.empty(starts.size)
-    for i, (start, stop) in enumerate(zip(starts, stops)):
-        modes[i], lows[i], highs[i] = _mode(trace.samples[start:stop], scratch)
+    for i, window in enumerate(trace.windows(starts, stops)):
+        modes[i], lows[i], highs[i] = _mode(window, scratch)
     if lows.min() == highs.max():
         raise ValueError("degenerate trace: constant signal")
     if np.isnan(modes).any():  # np.histogram's error
@@ -66,6 +66,8 @@ def _mode(window: np.ndarray, scratch) -> tuple[float, float, float]:
     """
     f, idx, mask = (buf[:window.size] for buf in scratch)
     a_min, a_max = window.min(), window.max()
+    if not (np.isfinite(a_min) and np.isfinite(a_max)):  # where a mapped trace is checked
+        raise ValueError("trace contains non-finite samples")
     lo, hi = (a_min - 0.5, a_max + 0.5) if a_min == a_max else (a_min, a_max)
     edges = np.linspace(lo, hi, 102)
     if np.any(edges[:-1] >= edges[1:]):
@@ -108,9 +110,9 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     rel_buf, mask_buf = np.empty(size), np.empty(size, dtype=bool)
     downs, ups = [], []
     below = above = False
-    for start, stop, mode in zip(starts, stops, modes):
-        rel, mask = rel_buf[:stop - start], mask_buf[:stop - start]
-        np.subtract(trace.samples[start:stop], mode, out=rel)
+    for start, window, mode in zip(starts, trace.windows(starts, stops), modes):
+        rel, mask = rel_buf[:window.size], mask_buf[:window.size]
+        np.subtract(window, mode, out=rel)
         np.less(rel, -threshold_v, out=mask)
         downs.append(_turns_true(mask, below) + start)
         below = bool(mask[-1])
@@ -320,21 +322,34 @@ def _ten_ninety(edge: np.ndarray, opposite: np.ndarray, dt: float) -> float:
     return max(-LN9 / slope, dt)
 
 
+def _mean_window(trace: TimeTrace, starts: np.ndarray, size: int) -> np.ndarray:
+    """Mean of the windows samples[start:start + size], offset by offset. An
+    array is gathered one offset at a time, a scratch of one sample per
+    window; a map reads each window once, into a (windows, size) scratch,
+    checked finite."""
+    if not isinstance(trace.samples, np.memmap):
+        return np.array([trace.samples[starts + j].mean() for j in range(size)])
+    rows = np.empty((starts.size, size))
+    for row, window in zip(rows, trace.windows(starts, starts + size)):
+        row[:] = window
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        raise ValueError("trace contains non-finite samples")
+    return np.array([rows[:, j].copy().mean() for j in range(size)])  # contiguous, as gathered
+
+
 def edge_times(trace: TimeTrace, capture_us, release_us) -> tuple[float, float]:
     """10-90% fall and rise times, in us, of the mean edge of one event
     (scalar times) or of many (equal-length arrays). Noise and finite
     bandwidth jitter each instant (Naaman & Aumentado, PRL 96, 100201
     (2006)), but past the jitter the mean edge keeps the exponential tail's
-    time constant, with 1/sqrt(K) of the noise of K events. The windows are
-    averaged one offset at a time, so the scratch is one sample per event."""
+    time constant, with 1/sqrt(K) of the noise of K events."""
     caps, rels = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (capture_us, release_us))
     if caps.ndim != 1 or caps.shape != rels.shape or caps.size == 0 or np.any(rels <= caps):
         raise ValueError("release must follow capture, one release per capture")
     (cap_starts, size), (rel_starts, _) = _windows(trace, caps), _windows(trace, rels)
     if cap_starts.min() < 0 or rel_starts.max() + size > trace.n_samples:
         raise ValueError("edge not resolved: a window leaves the trace")
-    fall = np.array([trace.samples[cap_starts + j].mean() for j in range(size)])
-    rise = np.array([trace.samples[rel_starts + j].mean() for j in range(size)])
+    fall, rise = _mean_window(trace, cap_starts, size), _mean_window(trace, rel_starts, size)
     dt = 1e6 / trace.sample_rate_hz
     return _ten_ninety(fall, rise, dt), _ten_ninety(rise, fall, dt)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -32,10 +33,24 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _out_path(args, cfg) -> Path:
+    return Path(args.out) if args.out else Path(cfg["run"]["out_dir"])
+
+
 def _out_dir(args, cfg) -> Path:
-    out = Path(args.out) if args.out else Path(cfg["run"]["out_dir"])
+    out = _out_path(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _check_free_space(out: Path, n_samples: int) -> None:
+    """Raise ValueError when the file system of `out`, or of its nearest
+    existing ancestor, has no room for a trace of `n_samples` float64s."""
+    base = next(p for p in (out, *out.absolute().parents) if p.exists())
+    need, free = 8 * n_samples, shutil.disk_usage(base).free
+    if need > free:
+        raise ValueError(f"trace of {n_samples} samples, which need {need} bytes; "
+                         f"{base} has {free} bytes free")
 
 
 def _load_cfg(args):
@@ -142,7 +157,8 @@ def cmd_simulate(args) -> int:
     seed = int(cfg["run"]["seed"])
     trace_duration = min(duration, float(cfg["run"]["trace_duration_s"]))
     sample_rate = float(cfg["run"]["sample_rate_hz"])
-    detsim.check_trace(params, trace_duration, sample_rate)  # before any file is written
+    n_samples = detsim.check_trace(params, trace_duration, sample_rate)
+    _check_free_space(_out_path(args, cfg), n_samples)  # before any file is written
 
     streams = np.random.SeedSequence(seed).spawn(2)
     events = detsim.simulate(params, source, duration, streams[0])
@@ -150,7 +166,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, cfg)
     detsim.write_events_csv(events, out / "events.csv")
 
-    trace = detsim.synthesize_trace(events, params, trace_duration, sample_rate, streams[1])
+    trace = detsim.synthesize_trace(events, params, trace_duration, sample_rate, streams[1],
+                                    path=out / "trace.f64")  # written block by block
     detsim.write_trace(trace, out / "trace")
 
     _write_json(out / "manifest.json", {
@@ -331,7 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (cfgmod.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (cfgmod.ConfigError, OSError, ValueError) as exc:  # OSError: also a full disk
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -203,12 +203,16 @@ def config_hash(cfg: dict[str, Any]) -> str:
 
 
 def _material(name: str) -> materials.MaterialDispersion:
+    """The dispersion file `name` when it has a suffix, else a bundled table."""
     try:
-        path = Path(name)
-        if path.suffix and path.exists():
-            return materials.load_dispersion(path)
+        if Path(name).suffix:
+            return materials.load_dispersion(Path(name))
         return materials.bundled(name)
-    except (KeyError, OSError, ValueError) as exc:
+    except FileNotFoundError:
+        raise ConfigError(f"stack: dispersion file {name} does not exist") from None
+    except KeyError as exc:  # its str() would quote the message
+        raise ConfigError(f"stack: {exc.args[0]}") from None
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"stack: {exc}") from exc
 
 

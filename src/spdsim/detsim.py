@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from . import check_memory
 from .source import CoherentPulseTrain, PulsePolarization
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
-_BLOCK_SAMPLES = 1 << 16  # edge or noise samples rendered per block in synthesize_trace
+_BLOCK_SAMPLES = 1 << 16  # samples per block rendered by `_render`
 # Peak bytes per candidate capture in `simulate` when every candidate is
 # accepted. When all are dark, the peak is the origin lookup: candidate times
 # and dwells, the dark candidates' indices, the kept indices and three
@@ -254,16 +255,20 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
 
 @dataclass
 class TimeTrace:
-    """Uniformly sampled output voltage; sample i sits at i / sample_rate."""
+    """Uniformly sampled output voltage; sample i sits at i / sample_rate.
+    `samples` may be an `np.memmap` of a `write_trace` file, which `windows`
+    reads and `analysis` checks finite window by window."""
 
     sample_rate_hz: float
     baseline_v: float
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
+        if isinstance(self.samples, np.memmap):
+            return
+        self.samples = np.asarray(self.samples, dtype=float)
         # min and max carry any NaN or inf, and need no per-sample scratch
         if self.samples.size and not (np.isfinite(self.samples.min())
                                       and np.isfinite(self.samples.max())):
@@ -277,15 +282,30 @@ class TimeTrace:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
 
+    def windows(self, starts: np.ndarray, stops: np.ndarray):
+        """Yield samples[start:stop] for each start and stop: views of an
+        array, or, since a page touched through a map stays resident, one
+        positioned read each of a map's file into one buffer, which the next
+        window reuses."""
+        if not isinstance(self.samples, np.memmap):
+            yield from (self.samples[start:stop] for start, stop in zip(starts, stops))
+            return
+        buf = np.empty(int(np.max(stops - starts, initial=0)), dtype="<f8")
+        with open(self.samples.filename, "rb") as f:
+            for start, stop in zip(starts, stops):
+                window = buf[:stop - start]
+                if os.preadv(f.fileno(), [window], 8 * int(start)) != window.nbytes:
+                    raise ValueError(f"{self.samples.filename}: shorter than its map")
+                yield window
+
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
     """Sample count of a `synthesize_trace` trace; raises ValueError, before
-    anything is allocated, for a nonpositive duration, a float64 sample array
-    beyond physical memory, or a sample rate too slow for the edges."""
+    anything is allocated, for a nonpositive duration or a sample rate too
+    slow for the edges."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate_hz))
-    check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
     for edge in (params.fall_time_us, params.rise_time_us):
         need_hz = 10.0 / (edge * 1e-6) if edge > 0 else 0.0
         if sample_rate_hz < need_hz:
@@ -295,74 +315,89 @@ def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float
     return n
 
 
-def _piecewise_level(transitions, n: int, step: float, baseline_v: float) -> np.ndarray:
-    """baseline - step * occupancy on `n` samples, from `synthesize_trace`'s
-    (start sample, time, sign, edge) transitions, built as runs: one per
-    sample where transitions start, holding the sum of their signs. The sums
-    are exact integers, so the runs hold a per-sample cumsum's values. A
-    function of its own, so the runs are freed before the edges are drawn."""
-    at = np.concatenate([starts for starts, *_ in transitions])
-    run_starts, run_of = np.unique(at, return_inverse=True)
-    signs = np.concatenate([np.full(starts.size, sign) for starts, _, sign, _ in transitions])
-    volts = np.zeros(run_starts.size + 1)  # [0] holds the run before any transition
-    np.cumsum(np.bincount(run_of, weights=signs, minlength=run_starts.size), out=volts[1:])
-    volts *= -step  # occupancy, turned into volts in place
-    volts += baseline_v
-    return np.repeat(volts, np.diff(run_starts, prepend=0, append=n))
-
-
-def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
-                     sample_rate_hz: float, seed: int | np.random.SeedSequence) -> TimeTrace:
-    """Render the occupancy ledger as a noisy voltage trace.
+def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz: float,
+            seed: int | np.random.SeedSequence):
+    """Yield the `n` samples of `synthesize_trace`'s trace in consecutive
+    blocks of `_BLOCK_SAMPLES`.
 
     Level = baseline - step_amplitude * occupancy, with exponential edges on
     every transition (superposed, so overlapping events stack) plus white
-    Gaussian noise. The returned samples are the only float64 array of the
-    trace's length; `check_trace` rejects a trace that cannot be rendered.
-    The level is built as runs, one per sample on which transitions start,
-    and written into the samples by one `np.repeat`; the edges and the
-    noise are then added to it in blocks of at most `_BLOCK_SAMPLES`
-    samples, so their scratch arrays stay within a few MB whatever the trace
-    length and the event count. The noise blocks are drawn in order from one
-    generator, so they join into the stream of a single full-length draw.
+    Gaussian noise. The level is kept as runs, one per sample on which
+    transitions start, holding the sum of their signs: exact integers, so a
+    per-sample cumsum's values. A block finds its runs, and the transitions
+    whose edges reach it, by `searchsorted`, so its scratch stays within a
+    few MB whatever the trace length and the event count. Each sample adds
+    its level, capture edges and release edges, each in event order, then
+    noise. The noise blocks are drawn in order from one generator, so they
+    join into the stream of a single full-length draw.
     """
-    n = check_trace(params, duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     dt_us = 1e6 / sample_rate_hz
     step = params.step_amplitude_v
 
     # First sample at or after each transition; transitions past the trace
-    # leave no mark on it.
-    transitions = []
+    # leave no mark on it. Exponential transients restore continuity at each
+    # transition and decay toward the new level; windows are truncated once
+    # exp < 1e-12. Sorted by start, the transitions that reach a block are one
+    # slice.
+    transitions, edges = [], []
     for times, sign, edge in ((events.capture_times_us, 1.0, params.fall_time_us),
                               (events.release_times_us, -1.0, params.rise_time_us)):
         starts = np.ceil(times / dt_us - 1e-12).astype(int)
-        inside = starts < n
-        transitions.append((starts[inside], times[inside], sign, edge))
+        starts, times = starts[starts < n], times[starts < n]
+        transitions.append((starts, sign))
+        if edge > 0:  # else instantaneous
+            tau = edge / LN9  # single-exponential edge: its 10-90% span is exactly `edge`
+            span = int(math.ceil(27.7 * tau / dt_us)) + 1
+            order = np.argsort(starts, kind="stable")
+            edges.append((starts, times, sign * step, tau, span, order, starts[order]))
 
-    level = _piecewise_level(transitions, n, step, params.baseline_v)
+    run_starts, run_of = np.unique(np.concatenate([starts for starts, _ in transitions]),
+                                   return_inverse=True)
+    signs = np.concatenate([np.full(starts.size, sign) for starts, sign in transitions])
+    volts = np.zeros(run_starts.size + 1)  # [0] holds the run before any transition
+    np.cumsum(np.bincount(run_of, weights=signs, minlength=run_starts.size), out=volts[1:])
+    volts *= -step  # occupancy, turned into volts in place
+    volts += params.baseline_v
 
-    # Exponential transients restore continuity at each transition and decay
-    # toward the new level. Windows are truncated once exp < 1e-12. `np.add.at`
-    # adds in row-major order, so each sample takes its terms in event order.
-    for starts, times, sign, edge in transitions:
-        if edge <= 0:
-            continue  # instantaneous edge
-        tau = edge / LN9  # single-exponential edge: its 10-90% span is exactly `edge`
-        span = int(math.ceil(27.7 * tau / dt_us)) + 1
-        offsets = np.arange(span)
-        rows = max(1, _BLOCK_SAMPLES // span)
-        for lo in range(0, starts.size, rows):
-            idx = starts[lo:lo + rows, None] + offsets
-            vals = sign * step * np.exp(-(idx * dt_us - times[lo:lo + rows, None]) / tau)
-            ok = idx < n
-            np.add.at(level, idx[ok], vals[ok])
+    for lo in range(0, n, _BLOCK_SAMPLES):
+        hi = min(n, lo + _BLOCK_SAMPLES)
+        a, b = np.searchsorted(run_starts, [lo, hi - 1], side="right")
+        block = np.repeat(volts[a:b + 1], np.diff(run_starts[a:b], prepend=lo, append=hi))
+        for starts, times, amp, tau, span, order, by_start in edges:
+            first, last = np.searchsorted(by_start, [lo - span + 1, hi])
+            rows = np.sort(order[first:last])  # event order: `np.add.at` adds row by row
+            per = max(1, _BLOCK_SAMPLES // span)
+            for k in range(0, rows.size, per):  # each edge from its first sample in the block
+                sel = rows[k:k + per]
+                idx = np.maximum(starts[sel], lo)[:, None] + np.arange(min(span, hi - lo))
+                vals = amp * np.exp(-(idx * dt_us - times[sel, None]) / tau)
+                ok = (idx < hi) & (idx < starts[sel, None] + span)
+                np.add.at(block, idx[ok] - lo, vals[ok])
+        if params.noise_sigma_v > 0:
+            block += rng.normal(0.0, params.noise_sigma_v, size=hi - lo)
+        yield block
 
-    if params.noise_sigma_v > 0:
-        for lo in range(0, n, _BLOCK_SAMPLES):
-            hi = min(n, lo + _BLOCK_SAMPLES)
-            level[lo:hi] += rng.normal(0.0, params.noise_sigma_v, size=hi - lo)
-    return TimeTrace(sample_rate_hz, params.baseline_v, level)
+
+def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
+                     sample_rate_hz: float, seed: int | np.random.SeedSequence,
+                     path: str | Path | None = None) -> TimeTrace:
+    """Render the occupancy ledger as a noisy voltage trace (`_render`): into
+    one float64 array, which must fit in physical memory, or, given a `path`,
+    block by block into that file, in `write_trace`'s format, mapped."""
+    n = check_trace(params, duration_s, sample_rate_hz)
+    blocks = _render(events, params, n, sample_rate_hz, seed)
+    if path is not None:
+        with open(path, "wb") as f:
+            for block in blocks:
+                f.write(block.astype("<f8", copy=False))
+        samples = np.memmap(path, dtype="<f8", mode="r") if n else np.empty(0)
+        return TimeTrace(sample_rate_hz, params.baseline_v, samples)
+    check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
+    samples = np.empty(n)
+    for lo, block in zip(range(0, n, _BLOCK_SAMPLES), blocks):
+        samples[lo:lo + block.size] = block
+    return TimeTrace(sample_rate_hz, params.baseline_v, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +522,16 @@ def read_events_csv(path: str | Path) -> EventRecord:
 
 
 def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
-    """Binary little-endian float64 samples plus a JSON sidecar."""
+    """Binary little-endian float64 samples plus a JSON sidecar. Samples
+    mapped from that binary file are there already; reopening it for writing
+    would truncate it under its map."""
     base = Path(base_path)
     bin_path = base.with_suffix(".f64")
     meta_path = base.with_suffix(".json")
-    trace.samples.astype("<f8", copy=False).tofile(bin_path)
+    samples = trace.samples
+    if not (isinstance(samples, np.memmap) and bin_path.exists()
+            and os.path.samefile(samples.filename, bin_path)):
+        samples.astype("<f8", copy=False).tofile(bin_path)
     meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
             "duration": trace.duration_s, "n_samples": trace.n_samples}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -499,10 +539,11 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
 
 
 def read_trace(base_path: str | Path) -> TimeTrace:
+    """The trace `write_trace` wrote, its samples mapped and not yet read."""
     base = Path(base_path)
     meta = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
     bin_path = base.with_suffix(".f64")
     if bin_path.stat().st_size != 8 * meta["n_samples"]:
         raise ValueError(f"{base}: sample count does not match sidecar")
-    samples = np.fromfile(bin_path, dtype="<f8")
-    return TimeTrace(meta["sample_rate"], meta["baseline"], samples.astype(float, copy=False))
+    samples = np.memmap(bin_path, dtype="<f8", mode="r") if meta["n_samples"] else np.empty(0)
+    return TimeTrace(meta["sample_rate"], meta["baseline"], samples)

@@ -7,7 +7,8 @@ linearly in n and k; out-of-range wavelengths are a hard error because silent
 extrapolation of optical constants corrupts absorption estimates downstream.
 
 Dispersion files are plain text: '#' comment lines first (the provenance
-header is mandatory), then CSV rows ``wavelength_nm,n,k`` for isotropic
+header is mandatory, and at least one of its lines must say something), then
+CSV rows ``wavelength_nm,n,k`` for isotropic
 materials or ``wavelength_nm,n_ac,k_ac,n_zz,k_zz`` for anisotropic ones.
 """
 
@@ -160,6 +161,8 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
         if not line:
             continue
         if line.startswith("#"):
+            if rows:
+                raise DispersionError(f"{name}: row {lineno}: comment after the first data row")
             header.append(line.lstrip("#").strip())
             continue
         try:
@@ -175,8 +178,8 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
             raise DispersionError(f"{name}: row {lineno}: inconsistent column count")
         rows.append((lineno, values))
 
-    if not header:
-        raise DispersionError(f"{name}: missing provenance header ('#' comment lines)")
+    if not any(header):
+        raise DispersionError(f"{name}: missing provenance header (non-empty '#' comment lines)")
     if not rows:
         raise DispersionError(f"{name}: no data rows")
 

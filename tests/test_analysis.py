@@ -1,6 +1,8 @@
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -184,6 +186,84 @@ def traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@st.composite
+def mapped_cases(draw):
+    """(record, n, block, window): a render block of 5-300 samples, a 10 MS/s
+    trace of n samples, no multiple of the block, up to five events spaced
+    so that their edges can be timed, and a baseline window of 8 samples up
+    to the whole trace, which lines up with the blocks only by chance."""
+    block = draw(st.integers(5, 300))
+    n = draw(st.integers(1500, 4000).filter(lambda k: k % block))
+    captures = [25.0 + 75.0 * i + draw(st.floats(0.0, 10.0))
+                for i in range(draw(st.integers(0, 5)))]
+    releases = [c + draw(st.floats(16.0, 40.0)) for c in captures]
+    kept = [(c, r) for c, r in zip(captures, releases) if r + 15.0 < 0.1 * n]
+    record = EventRecord(np.array([c for c, _ in kept]), np.array([r for _, r in kept]))
+    return record, n, block, draw(st.integers(8, n))
+
+
+def detection_and_edges(trace, window):
+    """The events `detect_events` finds and their mean edges, or the
+    ValueError of either."""
+    try:
+        found = detect_events(trace, 0.5, 0.2, 1.0, window / trace.sample_rate_hz)
+    except ValueError as exc:
+        return str(exc)
+    try:
+        edges = mean_edge_times(trace, found)
+    except ValueError as exc:
+        edges = str(exc)
+    return found.capture_times_us.tolist(), found.release_times_us.tolist(), edges
+
+
+class TestMappedTrace:
+    """A trace read from its file, window by window, analyses as its array does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mapped_cases(), st.integers(0, 2**32 - 1))
+    def test_detection_and_edges_match_the_array(self, case, seed):
+        record, n, block, window = case
+        params = DetectorParams()
+        with mock.patch.object(detsim, "_BLOCK_SAMPLES", block):
+            array = synthesize_trace(record, params, n / 1e7, 1e7, seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                base = Path(tmp) / "trace"
+                detsim.write_trace(synthesize_trace(record, params, n / 1e7, 1e7, seed,
+                                                    path=base.with_suffix(".f64")), base)
+                mapped = detsim.read_trace(base)
+                assert isinstance(mapped.samples, np.memmap)
+                got = detection_and_edges(mapped, window)
+        assert got == detection_and_edges(array, window)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2345, 29_999])
+    def test_non_finite_sample_in_the_file_is_rejected(self, tmp_path, bad, at):
+        record = spaced_events(20, spacing_us=150.0, dwell_us=30.0)
+        mapped = synthesize_trace(record, DetectorParams(), 3e-3, 1e7, seed=1,
+                                  path=tmp_path / "trace.f64")
+        with open(tmp_path / "trace.f64", "r+b") as f:  # the map reads the new sample
+            f.seek(8 * at)
+            f.write(np.array([bad]).tobytes())
+        with pytest.raises(ValueError, match="trace contains non-finite samples"):
+            detect_events(mapped, 0.5, 0.2, 1.0, 0.001)
+        with pytest.raises(ValueError, match="trace contains non-finite samples"):
+            estimate_baseline(mapped, 0.001)
+        if at == 2345:  # inside the second release's edge window, 2260-2419
+            with pytest.raises(ValueError, match="trace contains non-finite samples"):
+                mean_edge_times(mapped, record)
+
+    def test_mean_edges_of_many_events_match_the_array(self, tmp_path):
+        # 300 events: each offset's mean sums 300 samples, as numpy pairs them
+        record = spaced_events(300, spacing_us=60.0, dwell_us=25.0)
+        duration = (record.release_times_us[-1] + 30.0) * 1e-6
+        array = synthesize_trace(record, DetectorParams(), duration, 1e7, seed=3)
+        mapped = synthesize_trace(record, DetectorParams(), duration, 1e7, seed=3,
+                                  path=tmp_path / "trace.f64")
+        want = mean_edge_times(array, record)
+        assert want[2] == 300
+        assert mean_edge_times(mapped, record) == want
 
 
 class TestTraceMemory:

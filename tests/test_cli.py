@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import errno
 import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peak_rss import command_peak_mb
 from spdsim import analysis, cli, config as cfgmod, detsim, tmm
 from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
                            build_stack, load_config)
@@ -361,6 +364,19 @@ class TestCliTmm:
         assert capsys.readouterr().err == f"error: stack: bad: {fault}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("material, message", [
+        ("tables/missing.csv", "dispersion file tables/missing.csv does not exist"),
+        ("unobtainium", "no bundled dispersion data for 'unobtainium' (available: "),
+    ], ids=["missing-file", "unknown-name"])
+    def test_unknown_material_exits_2_naming_it(self, tmp_path, capsys, material, message):
+        layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
+        layers[0]["material"] = material
+        cfg = write_cfg(tmp_path, {"stack": {"layers": layers}})
+        assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stack: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_unpolarized_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, {"tmm": {"axis": "unpolarized"}})
         assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "u") == 0
@@ -452,6 +468,39 @@ class TestCliSimulate:
         assert "bytes" in err
         assert not out.exists() or not any(out.iterdir())  # rejected before any write
 
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_trace_beyond_free_disk_exits_2_before_any_write(self, tmp_path, capsys,
+                                                            monkeypatch, short):
+        cfg = simulate_cfg(tmp_path)  # a 0.02 s trace at 10 MS/s
+        need = 8 * 200_000
+        asked = []
+
+        def disk_usage(path):
+            asked.append(Path(path))
+            return shutil._ntuple_diskusage(10 * need, 9 * need + short, need - short)
+
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        out = tmp_path / "new" / "run"
+        code = run_cli("simulate", "--config", cfg, "--out", out)
+        assert asked == [tmp_path]  # the nearest existing ancestor of --out
+        err = capsys.readouterr().err
+        if short:
+            assert code == 2 and err.count("\n") == 1
+            assert err.startswith(f"error: trace of 200000 samples, which need {need} bytes; ")
+            assert not (tmp_path / "new").exists()
+        else:
+            assert code == 0 and (out / "trace.f64").stat().st_size == need
+
+    def test_disk_full_while_writing_the_trace_exits_2(self, tmp_path, capsys, monkeypatch):
+        def render(*args):
+            yield np.zeros(4)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(detsim, "_render", render)
+        cfg = simulate_cfg(tmp_path)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+
     def test_candidates_beyond_memory_exit_2_without_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"source": {"mean_photons": 1.0, "repetition_rate_hz": 1e9},
                                    "run": {"duration_s": 1e4}})
@@ -459,6 +508,28 @@ class TestCliSimulate:
         assert run_cli("simulate", "--config", cfg, "--out", out) == 2
         assert "candidate captures" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStreamedTrace:
+    """Neither trace command holds an array of the trace's length."""
+
+    def test_peak_memory_does_not_grow_with_trace_length(self, tmp_path):
+        peaks = []
+        for n_samples in (2_000_000, 8_000_000):
+            duration = n_samples / 1e7
+            cfg = write_cfg(tmp_path, {  # the trace workload's event rate
+                "source": {"mean_photons": 0.3, "repetition_rate_hz": 2e5},
+                "run": {"duration_s": duration, "trace_duration_s": duration,
+                        "sample_rate_hz": 1e7}}, name=f"cfg{n_samples}.yaml")
+            run = tmp_path / f"run{n_samples}"
+            peaks.append((
+                command_peak_mb("simulate", "--config", cfg, "--out", run),
+                command_peak_mb("analyze", "trace", "--config", cfg, "--trace", run / "trace",
+                                "--out", tmp_path / f"ana{n_samples}")))
+            assert (run / "trace.f64").stat().st_size == 8 * n_samples
+        (simulate_2m, analyze_2m), (simulate_8m, analyze_8m) = peaks
+        assert simulate_8m <= 1.1 * simulate_2m, peaks
+        assert analyze_8m <= 1.1 * analyze_2m, peaks
 
 
 class TestCliAnalyze:

@@ -282,6 +282,59 @@ def trace_cases(draw):
     return EventRecord(captures, captures + dwells), params, duration_s, block
 
 
+@st.composite
+def block_cases(draw):
+    """(record, params, n, block): a render block of 5-300 samples, a 10 MS/s
+    trace of n samples, no multiple of the block, and a record whose
+    transitions often start on a block bound, or start where an edge's last
+    sample lands on one. Edges of 1.5-5 us (150-650 samples) span several
+    blocks; 0 is instantaneous."""
+    block = draw(st.integers(5, 300))
+    n = draw(st.integers(block + 1, 3000).filter(lambda k: k % block))
+    edge = st.one_of(st.just(0.0), st.floats(1.5, 5.0))
+    params = DetectorParams(fall_time_us=draw(edge), rise_time_us=draw(edge),
+                            noise_sigma_v=draw(st.sampled_from([0.0, 0.05])))
+    spans = [0] + [math.ceil(27.7 * e / detsim.LN9 / 0.1)
+                   for e in (params.fall_time_us, params.rise_time_us) if e > 0]
+    on_bound = st.tuples(st.integers(0, n // block + 1), st.sampled_from(spans))
+    times = st.one_of(on_bound.map(lambda ks: max(0, ks[0] * block - ks[1]) * 0.1),
+                      st.floats(0.0, 0.11 * n))
+    pairs = sorted(sorted(pair) for pair in draw(st.lists(st.tuples(times, times), max_size=12)))
+    record = EventRecord(np.array([c for c, _ in pairs], dtype=float),
+                         np.array([r for _, r in pairs], dtype=float))
+    return record, params, n, block
+
+
+class TestStreamedTrace:
+    """`synthesize_trace` with a path writes, block by block, the bytes of the array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_cases(), st.integers(0, 2**32 - 1))
+    def test_file_holds_the_array_bytes(self, case, seed):
+        record, params, n, block = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(detsim, "_BLOCK_SAMPLES", block):
+            path = Path(tmp) / "trace.f64"
+            mapped = synthesize_trace(record, params, n / 1e7, 1e7, seed, path=path)
+            assert isinstance(mapped.samples, np.memmap) and mapped.n_samples == n
+            write_trace(mapped, Path(tmp) / "trace")  # adds the sidecar, keeps the samples
+            streamed = path.read_bytes()
+            want = synthesize_trace(record, params, n / 1e7, 1e7, seed).samples.tobytes()
+            del mapped
+        assert streamed == want
+        assert want == synthesize_trace_loop(record, params, n / 1e7, 1e7, seed).samples.tobytes()
+
+    def test_read_trace_maps_and_windows_read(self, tmp_path):
+        trace = detsim.TimeTrace(1e6, 0.0, np.arange(50.0))
+        write_trace(trace, tmp_path / "trace")
+        back = read_trace(tmp_path / "trace")
+        assert isinstance(back.samples, np.memmap)
+        starts, stops = np.array([3, 0, 40]), np.array([10, 1, 50])
+        got = [w.tolist() for w in back.windows(starts, stops)]
+        assert got == [list(range(3, 10)), [0], list(range(40, 50))]
+
+
+
 class TestArrayFormsMatchLoops:
     """The array writer and renderer give the bytes of their per-row oracles."""
 

@@ -39,6 +39,19 @@ class TestLoadDispersion:
         with pytest.raises(DispersionError, match="provenance header"):
             load_text("1000,2.1,0.0\n")
 
+    @pytest.mark.parametrize("text", ["#\n1000,2.0,0.0\n", "#  \n# \n1000,2.0,0.0\n"])
+    def test_blank_header_rejected(self, text):
+        with pytest.raises(DispersionError, match="missing provenance header"):
+            load_text(text)
+
+    def test_comment_after_data_rejected(self):
+        with pytest.raises(DispersionError, match="row 3: comment after the first data row"):
+            load_text(HEADER + "1000,2.1,0.0\n# late note\n1550,2.0,0.0\n")
+
+    def test_blank_header_line_between_others_kept(self):
+        mat = load_text("# source\n#\n# method\n1000,2.0,0.0\n")
+        assert mat.header == ("source", "", "method")
+
     def test_garbage_row_reports_line(self):
         with pytest.raises(DispersionError, match="row 2"):
             load_text(HEADER + "1000,two,0.0\n")
