@@ -323,18 +323,23 @@ def _ten_ninety(edge: np.ndarray, opposite: np.ndarray, dt: float) -> float:
 
 
 def _mean_window(trace: TimeTrace, starts: np.ndarray, size: int) -> np.ndarray:
-    """Mean of the windows samples[start:start + size], offset by offset. An
-    array is gathered one offset at a time, a scratch of one sample per
-    window; a map reads each window once, into a (windows, size) scratch,
-    checked finite."""
-    if not isinstance(trace.samples, np.memmap):
-        return np.array([trace.samples[starts + j].mean() for j in range(size)])
-    rows = np.empty((starts.size, size))
-    for row, window in zip(rows, trace.windows(starts, starts + size)):
-        row[:] = window
-    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-        raise ValueError("trace contains non-finite samples")
-    return np.array([rows[:, j].copy().mean() for j in range(size)])  # contiguous, as gathered
+    """Mean of the windows samples[start:start + size], offset by offset, as
+    np.mean gives it for each offset's samples. numpy sums more than 128 floats
+    as the sum of the first n2, the half rounded down to a multiple of 8, plus
+    the sum of the rest; the windows are read once, in the runs of at most 128
+    that this split leaves, so the scratch is 128 windows however many there
+    are. A mapped trace is not checked finite, so each run is."""
+    def total(lo: int, n: int) -> np.ndarray:
+        if n > 128:
+            n2 = n // 2 - n // 2 % 8
+            return total(lo, n2) + total(lo + n2, n - n2)
+        cols = np.empty((size, n))
+        for k, window in enumerate(trace.windows(starts[lo:lo + n], starts[lo:lo + n] + size)):
+            cols[:, k] = window
+        if not (np.isfinite(cols.min()) and np.isfinite(cols.max())):
+            raise ValueError("trace contains non-finite samples")
+        return np.add.reduce(cols, axis=1)
+    return total(0, starts.size) / starts.size
 
 
 def edge_times(trace: TimeTrace, capture_us, release_us) -> tuple[float, float]:

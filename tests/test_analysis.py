@@ -254,16 +254,22 @@ class TestMappedTrace:
             with pytest.raises(ValueError, match="trace contains non-finite samples"):
                 mean_edge_times(mapped, record)
 
-    def test_mean_edges_of_many_events_match_the_array(self, tmp_path):
-        # 300 events: each offset's mean sums 300 samples, as numpy pairs them
-        record = spaced_events(300, spacing_us=60.0, dwell_us=25.0)
-        duration = (record.release_times_us[-1] + 30.0) * 1e-6
-        array = synthesize_trace(record, DetectorParams(), duration, 1e7, seed=3)
-        mapped = synthesize_trace(record, DetectorParams(), duration, 1e7, seed=3,
-                                  path=tmp_path / "trace.f64")
-        want = mean_edge_times(array, record)
-        assert want[2] == 300
-        assert mean_edge_times(mapped, record) == want
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 700), st.integers(0, 2**32 - 1))
+    def test_edge_means_are_np_mean_of_each_offset(self, k, seed):
+        # k windows of 160 samples: runs of up to 128 summed along numpy's
+        # pairwise split give np.mean's float for every offset, from the
+        # array and from its file
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(0.0, 0.05, 20_000) - rng.integers(0, 2, 20_000)
+        starts = np.sort(rng.integers(0, 20_000 - 160, k))
+        want = [samples[starts + j].mean() for j in range(160)]
+        array = detsim.TimeTrace(1e7, 0.0, samples)
+        assert analysis._mean_window(array, starts, 160).tolist() == want
+        with tempfile.TemporaryDirectory() as tmp:
+            detsim.write_trace(array, Path(tmp) / "trace")
+            mapped = detsim.read_trace(Path(tmp) / "trace")
+            assert analysis._mean_window(mapped, starts, 160).tolist() == want
 
 
 class TestTraceMemory:
