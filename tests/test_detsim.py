@@ -334,7 +334,6 @@ class TestStreamedTrace:
         assert got == [list(range(3, 10)), [0], list(range(40, 50))]
 
 
-
 class TestArrayFormsMatchLoops:
     """The array writer and renderer give the bytes of their per-row oracles."""
 
