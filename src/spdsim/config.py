@@ -22,8 +22,8 @@ import yaml
 from . import analysis, device, materials
 from .detsim import DetectorParams
 from .source import (Attenuator, CoherentPulseTrain, MultimodeFiber, OpticalChain,
-                     Polarizer, PowerReading, PulsePolarization, Splitter)
-from .tmm import STEP_NM, Layer, LayerStack, stack_response
+                     PowerReading, PulsePolarization, Splitter)
+from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
 
 
 class ConfigError(ValueError):
@@ -241,8 +241,7 @@ def build_source(cfg: dict[str, Any], shutter_open: bool = True) -> CoherentPuls
     )
 
 
-_STAGES = {"polarizer": Polarizer, "attenuator": Attenuator, "splitter_tap": Splitter,
-           "fiber": lambda _: MultimodeFiber()}
+_STAGES = {"attenuator": Attenuator, "splitter_tap": Splitter, "fiber": lambda _: MultimodeFiber()}
 
 
 def build_chain(stages_cfg: list) -> OpticalChain:
@@ -266,10 +265,10 @@ def build_detector(cfg: dict[str, Any]) -> DetectorParams:
         stack = build_stack(cfg)
         wavelength = float(cfg["source"]["wavelength_nm"])
         try:
-            bp = stack.find_layer("bp")
+            absorber = absorber_layer(stack)
             for axis in ("armchair", "zigzag"):
                 det[f"absorptance_{axis}"] = float(
-                    stack_response(stack, wavelength, axis).layer_absorptance[bp])
+                    stack_response(stack, wavelength, axis).layer_absorptance[absorber])
             return DetectorParams(**det)  # rounding may leave a lossless layer's A below 0
         except ValueError as exc:
             raise ConfigError(f"detector.absorptance_from_stack: {exc}") from exc

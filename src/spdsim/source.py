@@ -3,9 +3,10 @@
 A pulsed laser well above threshold emits coherent states; the photon number
 per pulse is Poisson with mean ``n_bar = mean_power * lambda / (h c f)``.
 Attenuation preserves the Poisson character and only scales ``n_bar``, so an
-optical chain of polarizers, splitters and absorptive attenuators reduces to
-a single transmittance factor. Polarization is tracked as a linear axis angle
-plus an "unpolarized" flag; a multimode-fiber stage depolarizes without loss.
+optical chain of splitters, absorptive attenuators and lossless fibers reduces
+to a single transmittance factor. The light's polarization at the device is
+the source's own setting, a linear axis angle or "unpolarized"; the chain
+does not change it.
 
 Power-meter readings carry a relative uncertainty (default 5%) that
 propagates multiplicatively to the inferred mean photon number.
@@ -105,13 +106,6 @@ class PowerReading:
 
 
 @dataclass(frozen=True)
-class Polarizer:
-    """Ideal linear polarizer; Malus transmittance cos^2 of the relative angle."""
-
-    angle_deg: float
-
-
-@dataclass(frozen=True)
 class Attenuator:
     """Fixed-transmittance absorptive element (NDF, shutter, coupling loss)."""
 
@@ -124,7 +118,7 @@ class Attenuator:
 
 @dataclass(frozen=True)
 class Splitter:
-    """Beam splitter followed along its pass arm; factor 1 - tap_fraction."""
+    """Beam splitter followed along its pass arm."""
 
     tap_fraction: float
 
@@ -132,13 +126,19 @@ class Splitter:
         if not (0.0 <= self.tap_fraction < 1.0):
             raise ValueError(f"tap_fraction must be in [0, 1), got {self.tap_fraction}")
 
+    @property
+    def transmittance(self) -> float:
+        return 1.0 - self.tap_fraction
+
 
 @dataclass(frozen=True)
 class MultimodeFiber:
-    """Depolarizing multimode fiber: scrambles polarization, unity transmittance."""
+    """Multimode fiber patch: a lossless stage."""
+
+    transmittance = 1.0
 
 
-Stage = Polarizer | Attenuator | Splitter | MultimodeFiber
+Stage = Attenuator | Splitter | MultimodeFiber
 
 
 @dataclass(frozen=True)
@@ -146,44 +146,9 @@ class OpticalChain:
     stages: tuple[Stage, ...] = ()
 
 
-def _stage_effect(stage: Stage, polarization: PulsePolarization
-                  ) -> tuple[float, PulsePolarization]:
-    """(transmittance factor, output polarization) of one stage."""
-    if isinstance(stage, Polarizer):
-        if polarization.is_unpolarized:
-            factor = 0.5
-        else:
-            delta = math.radians(stage.angle_deg - polarization.angle_deg)
-            factor = math.cos(delta) ** 2
-        return factor, PulsePolarization.linear(stage.angle_deg)
-    if isinstance(stage, Attenuator):
-        return stage.transmittance, polarization
-    if isinstance(stage, Splitter):
-        return 1.0 - stage.tap_fraction, polarization
-    if isinstance(stage, MultimodeFiber):
-        return 1.0, PulsePolarization.unpolarized()
-    raise TypeError(f"unknown chain stage {stage!r}")
-
-
-def chain_transmittance(chain: OpticalChain,
-                        polarization: PulsePolarization | None = None
-                        ) -> tuple[float, PulsePolarization]:
-    """Product transmittance of the chain and the exit polarization state.
-
-    Polarizer stages need a defined input polarization; passing None restricts
-    the chain to polarization-independent stages.
-    """
-    if polarization is None:
-        for stage in chain.stages:
-            if isinstance(stage, Polarizer):
-                raise ValueError("chain contains a polarizer; the input "
-                                 "polarization state is required")
-        polarization = PulsePolarization.unpolarized()
-    factor = 1.0
-    for stage in chain.stages:
-        stage_factor, polarization = _stage_effect(stage, polarization)
-        factor *= stage_factor
-    return factor, polarization
+def chain_transmittance(chain: OpticalChain) -> float:
+    """Product of the stages' transmittances, multiplied in chain order from 1.0."""
+    return math.prod((stage.transmittance for stage in chain.stages), start=1.0)
 
 
 def poisson_pmf(n_bar: float, n: int) -> float:
@@ -233,7 +198,7 @@ def calibrate_flux(reading: PowerReading, tap_fraction: float,
     """
     if not (0.0 < tap_fraction < 1.0):
         raise ValueError("tap fraction must be in (0, 1)")
-    chain_factor, _ = chain_transmittance(post_tap_chain, None)
+    chain_factor = chain_transmittance(post_tap_chain)
     power_device = reading.mean_power_watts * (1.0 - tap_fraction) / tap_fraction * chain_factor
     n_bar = mean_photons_from_power(power_device, wavelength_nm, repetition_rate_hz)
     return CalibrationResult(n_bar, n_bar * reading.relative_uncertainty, power_device)

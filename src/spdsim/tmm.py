@@ -167,21 +167,25 @@ def check_map(n_top: int, n_bottom: int) -> None:
     check_memory(cells * _CELL_BYTES, f"{n_top}x{n_bottom} thickness map has {cells} cells")
 
 
+def absorber_layer(stack: LayerStack) -> int:
+    """Index of the absorber: the first anisotropic layer, else the first layer
+    named 'bp'."""
+    absorber = next((i for i, lay in enumerate(stack.layers) if lay.material.is_anisotropic),
+                    None)
+    return stack.find_layer("bp") if absorber is None else absorber
+
+
 def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:
     """(top spacer, bottom spacer, absorber) layer indices of a device-like stack.
 
-    The spacers are the first and last hBN layers; the absorber is the first
-    anisotropic layer (falling back to a layer named 'bp').
+    The spacers are the first and last hBN layers; the absorber is
+    `absorber_layer`'s.
     """
     top = stack.find_layer("hbn")
     bottom = stack.find_layer("hbn", last=True)
     if top == bottom:
         raise ValueError("stack needs distinct top and bottom hBN layers to sweep")
-    absorber = next((i for i, lay in enumerate(stack.layers) if lay.material.is_anisotropic),
-                    None)
-    if absorber is None:
-        absorber = stack.find_layer("bp")
-    return top, bottom, absorber
+    return top, bottom, absorber_layer(stack)
 
 
 def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thicknesses_nm,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,7 @@ def write_cfg(tmp_path, doc, name="cfg.yaml"):
 
 FUZZ_BASE = {**copy.deepcopy(DEFAULT_CONFIG), "calibration": {
     "power_tap_watts": 1.28e-9, "tap_fraction": 0.5, "relative_uncertainty": 0.05,
-    "post_tap_chain": [{"polarizer": 10.0}, {"attenuator": 1e-7}, {"splitter_tap": 0.1},
-                       {"fiber": None}]}}
+    "post_tap_chain": [{"attenuator": 1e-7}, {"splitter_tap": 0.1}, {"fiber": None}]}}
 FUZZ_BASE["detector"]["absorptance_from_stack"] = True
 
 
@@ -107,6 +107,20 @@ class TestConfig:
         assert params.absorptance_armchair == pytest.approx(0.5252, abs=5e-5)
         assert params.absorptance_zigzag == pytest.approx(0.0067, abs=5e-5)
 
+    def test_absorber_from_a_file_is_the_layer_tmm_sweeps(self, tmp_path):
+        film = tmp_path / "bp_film.csv"
+        film.write_text((resources.files("spdsim") / "data" / "bp.csv").read_text(
+            encoding="utf-8"), encoding="utf-8")
+        layers = copy.deepcopy(DEFAULT_CONFIG["stack"]["layers"])
+        layers[1]["material"] = str(film)
+        cfg = load_config(overrides={"detector": {"absorptance_from_stack": True},
+                                     "stack": {"layers": layers}})
+        stack = build_stack(cfg)
+        assert tmm.locate_sweep_layers(stack)[2] == 1
+        for axis in ("armchair", "zigzag"):
+            assert getattr(build_detector(cfg), f"absorptance_{axis}") == float(
+                tmm.stack_response(stack, 1550.0, axis).layer_absorptance[1])
+
     def test_function_defaults_are_the_config_defaults(self):
         window = inspect.signature(analysis.detect_events).parameters["baseline_window_s"]
         step = inspect.signature(tmm.optimize_thicknesses).parameters["coarse_step_nm"]
@@ -146,9 +160,8 @@ class TestConfig:
             build_stack(cfg)
 
     def test_build_chain(self):
-        chain = build_chain([{"polarizer": 30.0}, {"attenuator": 0.1},
-                             {"splitter_tap": 0.5}, {"fiber": None}])
-        assert len(chain.stages) == 4
+        chain = build_chain([{"attenuator": 0.1}, {"splitter_tap": 0.5}, {"fiber": None}])
+        assert len(chain.stages) == 3
         with pytest.raises(ConfigError, match=r"chain\[0\]"):
             build_chain([{"prism": 1.0}])
 
@@ -398,6 +411,20 @@ class TestCliSource:
     def test_calibrate_requires_reading(self, tmp_path):
         cfg = write_cfg(tmp_path, {})
         assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
+
+    @pytest.mark.parametrize("kind", cfgmod._STAGES)
+    def test_every_stage_kind_calibrates(self, tmp_path, kind):
+        cfg = write_cfg(tmp_path, {"calibration": {
+            "power_tap_watts": 1.28e-9, "post_tap_chain": [{kind: 0.5}]}})
+        assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 0
+
+    def test_polarizer_stage_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"calibration": {
+            "power_tap_watts": 1.28e-9, "post_tap_chain": [{"polarizer": 10.0}]}})
+        assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
+        assert capsys.readouterr().err == (
+            "error: calibration.post_tap_chain[0].polarizer: unknown stage kind\n")
+        assert not (tmp_path / "c").exists()
 
 
 class TestCliSimulate:

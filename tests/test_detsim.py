@@ -17,8 +17,8 @@ from oracles import (accept_loop, per_pulse_detection_probability, read_events_c
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
-from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, Polarizer,
-                           PulsePolarization, Splitter, chain_transmittance)
+from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, PulsePolarization,
+                           Splitter, chain_transmittance)
 
 
 def _parses_as_float(text):
@@ -177,9 +177,8 @@ class TestSimulate:
     def test_captures_per_pulse_stay_poisson_after_chain(self):
         # Thinning a Poisson photon number by a chain, the absorptance and
         # the iqe leaves a Poisson capture count with the product mean.
-        chain = OpticalChain((Polarizer(30.0), Attenuator(0.5), Splitter(0.4)))
-        factor, pol = chain_transmittance(chain, PulsePolarization.armchair())
-        source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, pol)
+        factor = chain_transmittance(OpticalChain((Attenuator(0.5), Splitter(0.4))))
+        source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, PulsePolarization.linear(30.0))
         params = DetectorParams(dark_rate_hz=0.0, dead_time_us=0.0, max_occupancy=10 ** 9)
         record = simulate(params, source, 1.0, seed=2024)
         n_pulses = 1_000_000

@@ -1,20 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from oracles import multi_photon_series, poisson_pmf_series
 from spdsim.source import (PLANCK_H, SPEED_OF_LIGHT, Attenuator, CoherentPulseTrain,
-                           MultimodeFiber, OpticalChain, Polarizer, PowerReading,
-                           PulsePolarization, Splitter, calibrate_flux, chain_transmittance,
+                           MultimodeFiber, OpticalChain, PowerReading, PulsePolarization,
+                           Splitter, calibrate_flux, chain_transmittance,
                            mean_photons_from_power, multi_photon_probability,
                            photon_energy_joules, poisson_pmf)
 
 
 def through(train, chain):
-    """The pulse train after the chain: only n_bar and the polarization change."""
-    factor, pol = chain_transmittance(chain, train.polarization)
-    return replace(train, mean_photons=train.mean_photons * factor, polarization=pol)
+    """The pulse train after the chain: only n_bar changes."""
+    return replace(train, mean_photons=train.mean_photons * chain_transmittance(chain))
 
 
 class TestPoissonPmf:
@@ -106,55 +105,34 @@ def test_pulse_count_ends_before_the_duration():
 
 
 class TestChain:
-    def train(self, n_bar=1e6, polarization=PulsePolarization.armchair()):
-        return CoherentPulseTrain(1550.0, 1e4, n_bar, polarization)
-
-    def test_aligned_polarizer_transmits_fully(self):
-        out = through(self.train(), OpticalChain((Polarizer(0.0),)))
-        assert out.mean_photons == pytest.approx(1e6, rel=1e-15)
-
-    def test_malus_law_45_and_90(self):
-        out45 = through(self.train(), OpticalChain((Polarizer(45.0),)))
-        assert out45.mean_photons == pytest.approx(0.5e6, rel=1e-12)
-        out90 = through(self.train(), OpticalChain((Polarizer(90.0),)))
-        assert out90.mean_photons == pytest.approx(0.0, abs=1e-25)
+    def train(self):
+        return CoherentPulseTrain(1550.0, 1e4, 1e6, PulsePolarization.armchair())
 
     def test_worked_chain_example(self):
-        chain = OpticalChain((Polarizer(60.0), Attenuator(1e-6), Splitter(0.5)))
+        chain = OpticalChain((Attenuator(1e-6), Splitter(0.5), MultimodeFiber()))
         out = through(self.train(), chain)
-        assert out.mean_photons == pytest.approx(1e6 * 0.25 * 1e-6 * 0.5, rel=1e-12)
-        assert out.polarization.angle_deg == 60.0
+        assert out.mean_photons == pytest.approx(1e6 * 1e-6 * 0.5, rel=1e-12)
+        assert out.polarization == self.train().polarization
 
-    def test_unpolarized_through_polarizer(self):
-        out = through(self.train(polarization=PulsePolarization.unpolarized()),
-                      OpticalChain((Polarizer(30.0),)))
-        assert out.mean_photons == pytest.approx(0.5e6, rel=1e-15)
-        assert out.polarization.angle_deg == 30.0
-
-    def test_fiber_depolarizes_without_loss(self):
+    def test_fiber_is_lossless(self):
+        assert fields(MultimodeFiber) == ()
         out = through(self.train(), OpticalChain((MultimodeFiber(),)))
         assert out.mean_photons == 1e6
-        assert out.polarization.is_unpolarized
 
     def test_chain_composition_associative(self):
-        stages = (Polarizer(20.0), Attenuator(0.3), Polarizer(50.0), Splitter(0.25),
-                  Attenuator(0.9))
+        stages = (Attenuator(0.3), Splitter(0.25), MultimodeFiber(), Attenuator(0.9),
+                  Splitter(0.1))
         whole = through(self.train(), OpticalChain(stages))
         stepwise = self.train()
         for stage in stages:
             stepwise = through(stepwise, OpticalChain((stage,)))
         assert stepwise.mean_photons == pytest.approx(whole.mean_photons, rel=1e-12)
-        assert stepwise.polarization == whole.polarization
 
     def test_power_reading_through_attenuators(self):
-        factor, _ = chain_transmittance(OpticalChain((Attenuator(0.1), Splitter(0.5))), None)
+        factor = chain_transmittance(OpticalChain((Attenuator(0.1), Splitter(0.5))))
         out = replace(PowerReading(2e-9), mean_power_watts=2e-9 * factor)
         assert out.mean_power_watts == pytest.approx(1e-10, rel=1e-12, abs=0)
         assert out.relative_uncertainty == 0.05
-
-    def test_power_reading_through_polarizer_rejected(self):
-        with pytest.raises(ValueError, match="polarizer"):
-            chain_transmittance(OpticalChain((Polarizer(10.0),)), None)
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
@@ -165,9 +143,9 @@ class TestChain:
             Splitter(1.0)
 
     def test_chain_transmittance_without_polarization(self):
-        factor, pol = chain_transmittance(OpticalChain((Attenuator(0.5), Splitter(0.2))))
+        factor = chain_transmittance(OpticalChain((Attenuator(0.5), Splitter(0.2))))
         assert factor == pytest.approx(0.4, rel=1e-12)
-        assert pol.is_unpolarized
+        assert type(chain_transmittance(OpticalChain(()))) is float
 
 
 class TestRangeRules:
