@@ -5,7 +5,7 @@ Subpackages map onto the stages of the physical experiment:
 - `materials`: complex refractive-index tables, including in-plane anisotropy.
 - `tmm`: transfer-matrix optics of the layered device, absorption sweeps and
   thickness optimization.
-- `source`: weak coherent pulse trains, attenuator/splitter/fiber chains, and
+- `source`: weak coherent pulse trains, attenuator/splitter chains, and
   power-meter calibration.
 - `detsim`: stochastic simulator of the capture/release detection cycle with
   dark counts, dead time, and synthetic output-voltage traces.

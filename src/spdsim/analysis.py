@@ -66,7 +66,7 @@ def _mode(window: np.ndarray, scratch) -> tuple[float, float, float]:
     """
     f, idx, mask = (buf[:window.size] for buf in scratch)
     a_min, a_max = window.min(), window.max()
-    if not (np.isfinite(a_min) and np.isfinite(a_max)):  # where a mapped trace is checked
+    if not (np.isfinite(a_min) and np.isfinite(a_max)):  # where every trace is checked
         raise ValueError("trace contains non-finite samples")
     lo, hi = (a_min - 0.5, a_max + 0.5) if a_min == a_max else (a_min, a_max)
     edges = np.linspace(lo, hi, 102)
@@ -164,6 +164,8 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
         raise ValueError("bin width must be positive")
     samples = trace.samples
     lo, hi = float(samples.min()), float(samples.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # it reads no `windows`
+        raise ValueError("trace contains non-finite samples")
     if hi - lo < bin_width_v:
         value = 0.5 * (lo + hi)
         return HistogramResult(np.array([samples.size]), np.array([value]),
@@ -328,7 +330,7 @@ def _mean_window(trace: TimeTrace, starts: np.ndarray, size: int) -> np.ndarray:
     as the sum of the first n2, the half rounded down to a multiple of 8, plus
     the sum of the rest; the windows are read once, in the runs of at most 128
     that this split leaves, so the scratch is 128 windows however many there
-    are. A mapped trace is not checked finite, so each run is."""
+    are. Each run is checked finite."""
     def total(lo: int, n: int) -> np.ndarray:
         if n > 128:
             n2 = n // 2 - n // 2 % 8

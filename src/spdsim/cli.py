@@ -199,16 +199,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_manifest(run_dir: Path) -> dict:
+def _read_run(run_dir: Path) -> tuple[float, float, float, int]:
+    """(repetition rate, n_bar, duration, detections) of a `simulate` run directory."""
     path = Path(run_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"{run_dir}: missing manifest.json (not a simulate run?)")
-    return json.loads(path.read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    src = manifest["source"]
+    return (float(src["repetition_rate_hz"]), float(src["mean_photons"]),
+            float(manifest["duration_s"]),
+            detsim.read_events_csv(Path(run_dir) / "events.csv").n_detections)
 
 
-def _run_detections(run_dir: Path) -> int:
-    events = detsim.read_events_csv(Path(run_dir) / "events.csv")
-    return events.n_detections
+def _equal(values) -> bool:
+    """The equal-exposure rule of `analyze counts` and `analyze sweep`."""
+    return all(abs(v - values[0]) <= 1e-9 * abs(values[0]) for v in values)
 
 
 def cmd_analyze(args) -> int:
@@ -246,19 +251,14 @@ def cmd_analyze(args) -> int:
             raise ValueError("analyze counts: need matching --light/--dark run directories")
         lines = ["photon_flux_hz,counts_light,counts_dark,duration_s,eqe,eqe_sigma,negative"]
         for light_dir, dark_dir in zip(args.light, args.dark):
-            manifest = _read_manifest(Path(light_dir))
-            duration = float(manifest["duration_s"])
-            dark_duration = float(_read_manifest(Path(dark_dir))["duration_s"])
-            if abs(dark_duration - duration) > 1e-9 * max(duration, 1.0):
+            rate, n_bar, duration, counts_light = _read_run(light_dir)
+            *_, dark_duration, counts_dark = _read_run(dark_dir)
+            if not _equal((duration, dark_duration)):
                 raise ValueError(
                     f"analyze counts: light run ({duration} s) and dark run "
                     f"({dark_duration} s) durations differ; subtraction needs equal exposure")
-            src = manifest["source"]
             result = analysis.estimate_eqe(
-                _run_detections(Path(light_dir)), _run_detections(Path(dark_dir)),
-                n_bar=float(src["mean_photons"]),
-                repetition_rate_hz=float(src["repetition_rate_hz"]),
-                duration_s=duration,
+                counts_light, counts_dark, n_bar, rate, duration,
                 flux_rel_uncertainty=float(cfg["calibration"]["relative_uncertainty"]))
             lines.append(
                 f"{result.photon_flux_hz:.10g},{result.counts_light},{result.counts_dark},"
@@ -273,22 +273,17 @@ def cmd_analyze(args) -> int:
         if args.runs is None:
             raise ValueError("analyze sweep: --runs DIR is required")
         runs_root = Path(args.runs)
-        points = []
-        n_bars, durations = set(), set()
-        for run_dir in sorted(p for p in runs_root.iterdir() if p.is_dir()):
-            manifest = _read_manifest(run_dir)
-            src = manifest["source"]
-            points.append((float(src["repetition_rate_hz"]), _run_detections(run_dir)))
-            n_bars.add(round(float(src["mean_photons"]), 12))
-            durations.add(round(float(manifest["duration_s"]), 12))
-        if not points:
+        runs = [_read_run(p) for p in sorted(runs_root.iterdir()) if p.is_dir()]
+        if not runs:
             raise ValueError(f"analyze sweep: no run directories under {runs_root}")
-        if len(n_bars) != 1:
-            raise ValueError(f"analyze sweep: runs disagree on mean_photons: {sorted(n_bars)}")
-        if len(durations) != 1:
-            raise ValueError(f"analyze sweep: run durations differ: {sorted(durations)} s; "
+        rates, n_bars, durations, counts = zip(*runs)
+        if not _equal(n_bars):
+            raise ValueError(f"analyze sweep: runs disagree on mean_photons: {sorted(set(n_bars))}")
+        if not _equal(durations):
+            raise ValueError(f"analyze sweep: run durations differ: {sorted(set(durations))} s; "
                              "the slope needs equal exposure")
-        fit = analysis.eqe_from_frequency_sweep(points, n_bars.pop(), durations.pop())
+        points = list(zip(rates, counts))
+        fit = analysis.eqe_from_frequency_sweep(points, n_bars[0], durations[0])
         out = _out_dir(args, cfg)
         _write_json(out / "fit.json", {
             "points": [{"repetition_rate_hz": f, "counts": c} for f, c in points],

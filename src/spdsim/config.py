@@ -21,8 +21,7 @@ import yaml
 
 from . import analysis, device, materials
 from .detsim import DetectorParams
-from .source import (Attenuator, CoherentPulseTrain, MultimodeFiber, OpticalChain,
-                     PowerReading, PulsePolarization, Splitter)
+from .source import Attenuator, CoherentPulseTrain, PowerReading, PulsePolarization, Splitter
 from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
 
 
@@ -241,11 +240,13 @@ def build_source(cfg: dict[str, Any], shutter_open: bool = True) -> CoherentPuls
     )
 
 
-_STAGES = {"attenuator": Attenuator, "splitter_tap": Splitter, "fiber": lambda _: MultimodeFiber()}
+# kind -> (what it takes, the stage its value builds); a fiber is lossless and builds none
+_STAGES = {"attenuator": ("a number", Attenuator), "splitter_tap": ("a number", Splitter),
+           "fiber": ("null", None)}
 
 
-def build_chain(stages_cfg: list) -> OpticalChain:
-    """The `calibration.post_tap_chain` list of single-key stage mappings."""
+def build_chain(stages_cfg: list) -> tuple[Attenuator | Splitter, ...]:
+    """The stages of the `calibration.post_tap_chain` list of single-key mappings."""
     stages = []
     for i, item in enumerate(stages_cfg):
         here = f"calibration.post_tap_chain[{i}]"
@@ -253,10 +254,12 @@ def build_chain(stages_cfg: list) -> OpticalChain:
                  "each stage is a single-key mapping")
         (kind, value), = item.items()
         _require(kind in _STAGES, f"{here}.{kind}", "unknown stage kind")
-        _require(kind == "fiber" or _is_number(value), f"{here}.{kind}",
-                 f"expected a number, got {value!r}")
-        stages.append(_construct(f"{here}.{kind}", lambda: _STAGES[kind](value)))
-    return OpticalChain(tuple(stages))
+        takes, make = _STAGES[kind]
+        _require(_is_number(value) if make else value is None, f"{here}.{kind}",
+                 f"expected {takes}, got {value!r}")
+        if make:
+            stages.append(_construct(f"{here}.{kind}", lambda: make(value)))
+    return tuple(stages)
 
 
 def build_detector(cfg: dict[str, Any]) -> DetectorParams:

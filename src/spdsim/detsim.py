@@ -32,10 +32,12 @@ import heapq
 import json
 import math
 import os
+import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -256,23 +258,20 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
 @dataclass
 class TimeTrace:
     """Uniformly sampled output voltage; sample i sits at i / sample_rate.
-    `samples` may be an `np.memmap` of a `write_trace` file, which `windows`
-    reads and `analysis` checks finite window by window."""
+    `samples` is an array, or maps the open `file`, which the trace keeps and
+    closes when it is collected. `analysis` checks each window it reads finite."""
 
     sample_rate_hz: float
     baseline_v: float
     samples: np.ndarray
+    file: BinaryIO | None = None
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
-        if isinstance(self.samples, np.memmap):
-            return
-        self.samples = np.asarray(self.samples, dtype=float)
-        # min and max carry any NaN or inf, and need no per-sample scratch
-        if self.samples.size and not (np.isfinite(self.samples.min())
-                                      and np.isfinite(self.samples.max())):
-            raise ValueError("trace contains non-finite samples")
+        self.samples = np.asanyarray(self.samples, dtype=float)  # a map stays a map
+        if self.file is not None:
+            weakref.finalize(self, self.file.close)
 
     @property
     def n_samples(self) -> int:
@@ -285,18 +284,30 @@ class TimeTrace:
     def windows(self, starts: np.ndarray, stops: np.ndarray):
         """Yield samples[start:stop] for each start and stop: views of an
         array, or, since a page touched through a map stays resident, one
-        positioned read each of a map's file into one buffer, which the next
-        window reuses."""
-        if not isinstance(self.samples, np.memmap):
+        positioned read each of the mapped `file` into one buffer, which the
+        next window reuses."""
+        if self.file is None:
             yield from (self.samples[start:stop] for start, stop in zip(starts, stops))
             return
         buf = np.empty(int(np.max(stops - starts, initial=0)), dtype="<f8")
-        with open(self.samples.filename, "rb") as f:
-            for start, stop in zip(starts, stops):
-                window = buf[:stop - start]
-                if os.preadv(f.fileno(), [window], 8 * int(start)) != window.nbytes:
-                    raise ValueError(f"{self.samples.filename}: shorter than its map")
-                yield window
+        for start, stop in zip(starts, stops):
+            window = buf[:stop - start]
+            if os.preadv(self.file.fileno(), [window], 8 * int(start)) != window.nbytes:
+                raise ValueError(f"{self.file.name}: shorter than its map")
+            yield window
+
+
+def _create(path: str | Path) -> BinaryIO:
+    """A new file at `path`; an old one is unlinked, not truncated, as a trace may map it."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "x+b")
+
+
+def _mapped(file: BinaryIO, sample_rate_hz: float, baseline_v: float) -> TimeTrace:
+    """The trace whose samples fill the open `file`, which it maps and keeps."""
+    size = file.seek(0, os.SEEK_END)  # flushes a write; an empty file cannot be mapped
+    samples = np.memmap(file, dtype="<f8", mode="r") if size else np.empty(0)
+    return TimeTrace(sample_rate_hz, baseline_v, samples, file)
 
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
@@ -388,11 +399,14 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
     n = check_trace(params, duration_s, sample_rate_hz)
     blocks = _render(events, params, n, sample_rate_hz, seed)
     if path is not None:
-        with open(path, "wb") as f:
+        f = _create(path)
+        try:
             for block in blocks:
                 f.write(block.astype("<f8", copy=False))
-        samples = np.memmap(path, dtype="<f8", mode="r") if n else np.empty(0)
-        return TimeTrace(sample_rate_hz, params.baseline_v, samples)
+        except BaseException:
+            f.close()
+            raise
+        return _mapped(f, sample_rate_hz, params.baseline_v)
     check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
     samples = np.empty(n)
     for lo, block in zip(range(0, n, _BLOCK_SAMPLES), blocks):
@@ -523,15 +537,14 @@ def read_events_csv(path: str | Path) -> EventRecord:
 
 def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
     """Binary little-endian float64 samples plus a JSON sidecar. Samples
-    mapped from that binary file are there already; reopening it for writing
-    would truncate it under its map."""
+    mapped from that binary file are there already, and are left alone."""
     base = Path(base_path)
     bin_path = base.with_suffix(".f64")
     meta_path = base.with_suffix(".json")
-    samples = trace.samples
-    if not (isinstance(samples, np.memmap) and bin_path.exists()
-            and os.path.samefile(samples.filename, bin_path)):
-        samples.astype("<f8", copy=False).tofile(bin_path)
+    if not (trace.file is not None and bin_path.exists()
+            and os.path.samestat(os.fstat(trace.file.fileno()), bin_path.stat())):
+        with _create(bin_path) as f:
+            trace.samples.astype("<f8", copy=False).tofile(f)
     meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
             "duration": trace.duration_s, "n_samples": trace.n_samples}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -542,8 +555,8 @@ def read_trace(base_path: str | Path) -> TimeTrace:
     """The trace `write_trace` wrote, its samples mapped and not yet read."""
     base = Path(base_path)
     meta = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    bin_path = base.with_suffix(".f64")
-    if bin_path.stat().st_size != 8 * meta["n_samples"]:
+    f = open(base.with_suffix(".f64"), "rb")
+    if f.seek(0, os.SEEK_END) != 8 * meta["n_samples"]:
+        f.close()
         raise ValueError(f"{base}: sample count does not match sidecar")
-    samples = np.memmap(bin_path, dtype="<f8", mode="r") if meta["n_samples"] else np.empty(0)
-    return TimeTrace(meta["sample_rate"], meta["baseline"], samples)
+    return _mapped(f, meta["sample_rate"], meta["baseline"])

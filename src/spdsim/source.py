@@ -3,10 +3,10 @@
 A pulsed laser well above threshold emits coherent states; the photon number
 per pulse is Poisson with mean ``n_bar = mean_power * lambda / (h c f)``.
 Attenuation preserves the Poisson character and only scales ``n_bar``, so an
-optical chain of splitters, absorptive attenuators and lossless fibers reduces
-to a single transmittance factor. The light's polarization at the device is
-the source's own setting, a linear axis angle or "unpolarized"; the chain
-does not change it.
+optical chain of splitters and absorptive attenuators reduces to a single
+transmittance factor; a fiber adds none, so the chain holds no stage for it.
+The light's polarization at the device is the source's own setting, a linear
+axis angle or "unpolarized"; the chain does not change it.
 
 Power-meter readings carry a relative uncertainty (default 5%) that
 propagates multiplicatively to the inferred mean photon number.
@@ -131,24 +131,9 @@ class Splitter:
         return 1.0 - self.tap_fraction
 
 
-@dataclass(frozen=True)
-class MultimodeFiber:
-    """Multimode fiber patch: a lossless stage."""
-
-    transmittance = 1.0
-
-
-Stage = Attenuator | Splitter | MultimodeFiber
-
-
-@dataclass(frozen=True)
-class OpticalChain:
-    stages: tuple[Stage, ...] = ()
-
-
-def chain_transmittance(chain: OpticalChain) -> float:
+def chain_transmittance(stages: tuple[Attenuator | Splitter, ...]) -> float:
     """Product of the stages' transmittances, multiplied in chain order from 1.0."""
-    return math.prod((stage.transmittance for stage in chain.stages), start=1.0)
+    return math.prod((stage.transmittance for stage in stages), start=1.0)
 
 
 def poisson_pmf(n_bar: float, n: int) -> float:
@@ -187,7 +172,7 @@ class CalibrationResult:
 
 
 def calibrate_flux(reading: PowerReading, tap_fraction: float,
-                   post_tap_chain: OpticalChain, wavelength_nm: float,
+                   post_tap_chain: tuple[Attenuator | Splitter, ...], wavelength_nm: float,
                    repetition_rate_hz: float) -> CalibrationResult:
     """Device-plane mean photon number from the tap-arm power monitor.
 

@@ -237,6 +237,17 @@ class TestMappedTrace:
                 got = detection_and_edges(mapped, window)
         assert got == detection_and_edges(array, window)
 
+    @staticmethod
+    def assert_every_reader_rejects(trace, record, at):
+        readers = [lambda: detect_events(trace, 0.5, 0.2, 1.0, 0.001),
+                   lambda: estimate_baseline(trace, 0.001),
+                   lambda: occupation_histogram(trace, 0.05)]
+        if at == 2345:  # inside the second release's edge window, 2260-2419
+            readers.append(lambda: mean_edge_times(trace, record))
+        for read in readers:
+            with pytest.raises(ValueError, match="trace contains non-finite samples"):
+                read()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 2345, 29_999])
     def test_non_finite_sample_in_the_file_is_rejected(self, tmp_path, bad, at):
@@ -246,13 +257,15 @@ class TestMappedTrace:
         with open(tmp_path / "trace.f64", "r+b") as f:  # the map reads the new sample
             f.seek(8 * at)
             f.write(np.array([bad]).tobytes())
-        with pytest.raises(ValueError, match="trace contains non-finite samples"):
-            detect_events(mapped, 0.5, 0.2, 1.0, 0.001)
-        with pytest.raises(ValueError, match="trace contains non-finite samples"):
-            estimate_baseline(mapped, 0.001)
-        if at == 2345:  # inside the second release's edge window, 2260-2419
-            with pytest.raises(ValueError, match="trace contains non-finite samples"):
-                mean_edge_times(mapped, record)
+        self.assert_every_reader_rejects(mapped, record, at)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2345, 29_999])
+    def test_non_finite_sample_in_an_array_is_rejected(self, bad, at):
+        record = spaced_events(20, spacing_us=150.0, dwell_us=30.0)
+        trace = synthesize_trace(record, DetectorParams(), 3e-3, 1e7, seed=1)
+        trace.samples[at] = bad  # the readers check it, not the trace
+        self.assert_every_reader_rejects(trace, record, at)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 700), st.integers(0, 2**32 - 1))

@@ -24,7 +24,7 @@ from spdsim import analysis, cli, config as cfgmod, detsim, tmm
 from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
                            build_stack, load_config)
 from spdsim.detsim import DetectorParams
-from spdsim.source import PulsePolarization
+from spdsim.source import Attenuator, PulsePolarization, Splitter
 
 DEFAULT_PARAMS = DetectorParams()
 # EQE of the default detector for unpolarized light: absorptance times iqe.
@@ -161,7 +161,7 @@ class TestConfig:
 
     def test_build_chain(self):
         chain = build_chain([{"attenuator": 0.1}, {"splitter_tap": 0.5}, {"fiber": None}])
-        assert len(chain.stages) == 3
+        assert chain == (Attenuator(0.1), Splitter(0.5))  # a fiber adds no factor
         with pytest.raises(ConfigError, match=r"chain\[0\]"):
             build_chain([{"prism": 1.0}])
 
@@ -414,9 +414,30 @@ class TestCliSource:
 
     @pytest.mark.parametrize("kind", cfgmod._STAGES)
     def test_every_stage_kind_calibrates(self, tmp_path, kind):
+        value = None if kind == "fiber" else 0.5
         cfg = write_cfg(tmp_path, {"calibration": {
-            "power_tap_watts": 1.28e-9, "post_tap_chain": [{kind: 0.5}]}})
+            "power_tap_watts": 1.28e-9, "post_tap_chain": [{kind: value}]}})
         assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 0
+
+    @pytest.mark.parametrize("value, shown", [(0.3, "0.3"), ("yes", "'yes'"), ([1, 2], "[1, 2]")])
+    def test_fiber_takes_only_null(self, tmp_path, capsys, value, shown):
+        cfg = write_cfg(tmp_path, {"calibration": {
+            "power_tap_watts": 1.28e-9, "post_tap_chain": [{"fiber": value}]}})
+        assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
+        assert capsys.readouterr().err == (
+            f"error: calibration.post_tap_chain[0].fiber: expected null, got {shown}\n")
+        assert not (tmp_path / "c").exists()
+
+    def test_a_fiber_leaves_the_calibration_unchanged(self, tmp_path):
+        chain = [{"attenuator": 1e-7}, {"splitter_tap": 0.1}]
+        written = []
+        for i, stages in enumerate((chain, chain + [{"fiber": None}])):
+            cfg = write_cfg(tmp_path, {"calibration": {
+                "power_tap_watts": 1.28e-9, "post_tap_chain": stages}}, name=f"c{i}.yaml")
+            out = tmp_path / f"c{i}"
+            assert run_cli("source", "calibrate", "--config", cfg, "--out", out) == 0
+            written.append((out / "calibration.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_polarizer_stage_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"calibration": {
@@ -663,6 +684,48 @@ class TestCliAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: analyze sweep: run durations differ")
         assert err.count("\n") == 1
+
+    def test_sweep_rejects_mismatched_mean_photons(self, tmp_path, capsys):
+        sweeps = tmp_path / "sweeps"
+        for i, (f, n_bar) in enumerate(((1e3, 0.2), (2e3, 0.2), (5e3, 0.3))):
+            cfg = write_cfg(tmp_path, {
+                "source": {"mean_photons": n_bar, "repetition_rate_hz": f},
+                "run": {"duration_s": 0.1, "trace_duration_s": 0.001},
+            }, name=f"cfg{i}.yaml")
+            assert run_cli("simulate", "--config", cfg, "--out", sweeps / f"f{i}") == 0
+        capsys.readouterr()
+        assert run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}, "base.yaml"),
+                       "--runs", sweeps, "--out", tmp_path / "ana") == 2
+        assert capsys.readouterr().err == (
+            "error: analyze sweep: runs disagree on mean_photons: [0.2, 0.3]\n")
+        assert not (tmp_path / "ana").exists()
+
+    def test_sweep_without_run_directories_exits_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "notes.txt").write_text("not a run\n", encoding="utf-8")
+        assert run_cli("analyze", "sweep", "--config", write_cfg(tmp_path, {}),
+                       "--runs", runs, "--out", tmp_path / "ana") == 2
+        assert capsys.readouterr().err == (
+            f"error: analyze sweep: no run directories under {runs}\n")
+        assert not (tmp_path / "ana").exists()
+
+    def test_counts_and_sweep_share_one_equal_exposure_rule(self, tmp_path):
+        # 0.2 s and 0.200000000002 s differ by 1e-11, relative: equal exposure
+        runs, dark = tmp_path / "runs", tmp_path / "dark"
+        for i, (f, duration) in enumerate(((1e3, 0.2), (2e3, 0.200000000002), (5e3, 0.2))):
+            cfg = write_cfg(tmp_path, {
+                "source": {"mean_photons": 0.2, "repetition_rate_hz": f},
+                "run": {"duration_s": duration, "trace_duration_s": 0.001},
+            }, name=f"cfg{i}.yaml")
+            assert run_cli("simulate", "--config", cfg, "--out", runs / f"f{i}") == 0
+        assert run_cli("simulate", "--config", tmp_path / "cfg1.yaml", "--out", dark,
+                       "--shutter", "closed") == 0
+        base = write_cfg(tmp_path, {}, "base.yaml")
+        assert run_cli("analyze", "counts", "--config", base, "--light", runs / "f0",
+                       "--dark", dark, "--out", tmp_path / "counts") == 0
+        assert run_cli("analyze", "sweep", "--config", base, "--runs", runs,
+                       "--out", tmp_path / "fit") == 0
 
     def test_counts_requires_pairs(self, tmp_path, capsys):
         cfg = simulate_cfg(tmp_path)

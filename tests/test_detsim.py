@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 from unittest import mock
@@ -17,8 +21,8 @@ from oracles import (accept_loop, per_pulse_detection_probability, read_events_c
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
-from spdsim.source import (Attenuator, CoherentPulseTrain, OpticalChain, PulsePolarization,
-                           Splitter, chain_transmittance)
+from spdsim.source import (Attenuator, CoherentPulseTrain, PulsePolarization, Splitter,
+                           chain_transmittance)
 
 
 def _parses_as_float(text):
@@ -177,7 +181,7 @@ class TestSimulate:
     def test_captures_per_pulse_stay_poisson_after_chain(self):
         # Thinning a Poisson photon number by a chain, the absorptance and
         # the iqe leaves a Poisson capture count with the product mean.
-        factor = chain_transmittance(OpticalChain((Attenuator(0.5), Splitter(0.4))))
+        factor = chain_transmittance((Attenuator(0.5), Splitter(0.4)))
         source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, PulsePolarization.linear(30.0))
         params = DetectorParams(dark_rate_hz=0.0, dead_time_us=0.0, max_occupancy=10 ** 9)
         record = simulate(params, source, 1.0, seed=2024)
@@ -322,6 +326,49 @@ class TestStreamedTrace:
             del mapped
         assert streamed == want
         assert want == synthesize_trace_loop(record, params, n / 1e7, 1e7, seed).samples.tobytes()
+
+    @pytest.mark.parametrize("second_s", [2e-3, 0.5e-3])
+    def test_a_new_trace_at_the_path_leaves_a_live_trace_its_own_samples(self, second_s):
+        # In a child process, so that a bus error fails the test, not pytest.
+        script = textwrap.dedent(f"""
+            import tempfile
+            from pathlib import Path
+            import numpy as np
+            from spdsim.detsim import DetectorParams, EventRecord, synthesize_trace
+            record, params = EventRecord([100.0], [300.0]), DetectorParams()
+            want = synthesize_trace(record, params, 2e-3, 1e7, seed=1).samples
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "trace.f64"
+                first = synthesize_trace(record, params, 2e-3, 1e7, seed=1, path=path)
+                synthesize_trace(record, params, {second_s!r}, 1e7, seed=2, path=path)
+                mapped = np.array_equal(first.samples, want)
+                starts, stops = np.array([0, 5000]), np.array([5000, 20000])
+                read = np.concatenate([w.copy() for w in first.windows(starts, stops)])
+                print(mapped, np.array_equal(read, want))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(detsim.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr
+
+    def test_write_trace_compares_the_file_the_trace_holds(self, tmp_path):
+        record, params = EventRecord([100.0], [300.0]), DetectorParams()
+        path = tmp_path / "trace.f64"
+        first = synthesize_trace(record, params, 2e-3, 1e7, seed=1, path=path)
+        second = synthesize_trace(record, params, 2e-3, 1e7, seed=2, path=path)
+        write_trace(first, tmp_path / "trace")  # the path now names the second trace's file
+        want = [synthesize_trace(record, params, 2e-3, 1e7, seed).samples for seed in (1, 2)]
+        assert path.read_bytes() == want[0].tobytes()
+        assert np.array_equal(second.samples, want[1])  # its file was unlinked, not truncated
+
+    def test_a_file_truncated_under_its_map_is_rejected(self, tmp_path):
+        path = tmp_path / "trace.f64"
+        trace = synthesize_trace(EventRecord([100.0], [300.0]), DetectorParams(), 2e-3, 1e7,
+                                 seed=1, path=path)
+        os.truncate(path, 8 * 100)  # the map's later pages are gone: read none of them
+        with pytest.raises(ValueError, match=f"^{path}: shorter than its map$"):
+            list(trace.windows(np.array([0, 50]), np.array([50, 200])))
 
     def test_read_trace_maps_and_windows_read(self, tmp_path):
         trace = detsim.TimeTrace(1e6, 0.0, np.arange(50.0))
