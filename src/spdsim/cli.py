@@ -212,7 +212,7 @@ def _read_run(run_dir: Path) -> tuple[float, float, float, int]:
 
 
 def _equal(values) -> bool:
-    """The equal-exposure rule of `analyze counts` and `analyze sweep`."""
+    """The equal-exposure rule of `analyze counts` and `sweep`: within 1e-9 of the first."""
     return all(abs(v - values[0]) <= 1e-9 * abs(values[0]) for v in values)
 
 

@@ -259,7 +259,8 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
 class TimeTrace:
     """Uniformly sampled output voltage; sample i sits at i / sample_rate.
     `samples` is an array, or maps the open `file`, which the trace keeps and
-    closes when it is collected. `analysis` checks each window it reads finite."""
+    closes once the samples are collected, so a copy of the trace may outlive
+    it. `analysis` checks each window it reads finite."""
 
     sample_rate_hz: float
     baseline_v: float
@@ -271,7 +272,7 @@ class TimeTrace:
             raise ValueError("sample rate must be positive")
         self.samples = np.asanyarray(self.samples, dtype=float)  # a map stays a map
         if self.file is not None:
-            weakref.finalize(self, self.file.close)
+            weakref.finalize(self.samples, self.file.close)
 
     @property
     def n_samples(self) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -361,6 +362,15 @@ class TestStreamedTrace:
         want = [synthesize_trace(record, params, 2e-3, 1e7, seed).samples for seed in (1, 2)]
         assert path.read_bytes() == want[0].tobytes()
         assert np.array_equal(second.samples, want[1])  # its file was unlinked, not truncated
+
+    def test_a_copy_of_a_trace_keeps_its_file_open(self, tmp_path):
+        trace = synthesize_trace(EventRecord([100.0], [300.0]), DetectorParams(), 2e-3, 1e7,
+                                 seed=1, path=tmp_path / "trace.f64")
+        want = np.array(trace.samples[:10])
+        copy = dataclasses.replace(trace, baseline_v=0.1)
+        del trace
+        gc.collect()
+        assert np.array_equal(next(copy.windows(np.array([0]), np.array([10]))), want)
 
     def test_a_file_truncated_under_its_map_is_rejected(self, tmp_path):
         path = tmp_path / "trace.f64"
