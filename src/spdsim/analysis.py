@@ -18,6 +18,7 @@ from .detsim import LN9, EventRecord, TimeTrace
 from .source import PowerReading
 
 BASELINE_WINDOW_S = 0.01  # the span of each baseline window of `detect_events`
+_HISTOGRAM_WINDOW = 1 << 16  # samples per read of `occupation_histogram`
 
 
 def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,21 +159,29 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
 
     Peaks are local maxima whose prominence is at least `prominence_fraction`
     of the tallest bin. Levels are returned in descending voltage, so the first
-    one corresponds to the empty island.
+    one corresponds to the empty island. The trace is read in windows of
+    `_HISTOGRAM_WINDOW` samples, twice: for its range, then for the counts,
+    which are those of `np.histogram` of the whole trace on the same edges.
     """
     if bin_width_v <= 0:
         raise ValueError("bin width must be positive")
-    samples = trace.samples
-    lo, hi = float(samples.min()), float(samples.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # it reads no `windows`
+    n = trace.n_samples
+    starts = np.arange(0, n, _HISTOGRAM_WINDOW)
+    stops = np.minimum(starts + _HISTOGRAM_WINDOW, n)
+    lows, highs = np.empty(starts.size), np.empty(starts.size)
+    for i, window in enumerate(trace.windows(starts, stops)):
+        lows[i], highs[i] = window.min(), window.max()
+    lo, hi = float(lows.min()), float(highs.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("trace contains non-finite samples")
     if hi - lo < bin_width_v:
         value = 0.5 * (lo + hi)
-        return HistogramResult(np.array([samples.size]), np.array([value]),
-                               np.array([value]))
+        return HistogramResult(np.array([n]), np.array([value]), np.array([value]))
     # Pad the range so occupation levels at the extremes are interior maxima.
     edges = np.arange(lo - 2 * bin_width_v, hi + 3 * bin_width_v, bin_width_v)
-    counts, edges = np.histogram(samples, bins=edges)
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    for window in trace.windows(starts, stops):  # each sample finds its bin alone
+        counts += np.histogram(window, bins=edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     peaks = _prominent_peaks(counts, prominence_fraction * counts.max())
     levels = centers[peaks]

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,6 +18,7 @@ from scipy.signal import find_peaks, peak_prominences
 
 from oracles import (detect_events_loop, eligible_edge_events, estimate_baseline_histogram,
                      match_events)
+from peak_rss import SRC, STATUS
 from spdsim import analysis, detsim
 from spdsim.analysis import (detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
@@ -366,6 +371,44 @@ class TestOccupationHistogram:
         trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100))
         with pytest.raises(ValueError):
             occupation_histogram(trace, 0.0)
+
+    def test_file_trace_is_read_in_windows(self, tmp_path):
+        # 3 M samples (24 MB) on two levels. In a child process, so that
+        # VmRSS is the call's own: a page read through the map would stay.
+        if not STATUS.exists():
+            pytest.skip("VmRSS needs /proc/self/status")
+        rng = np.random.default_rng(3)
+        samples = rng.normal(0.0, 0.05, 3_000_000) - rng.integers(0, 2, 3_000_000)
+        detsim.write_trace(detsim.TimeTrace(1e7, 0.0, samples), tmp_path / "trace")
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from spdsim import detsim
+            from spdsim.analysis import occupation_histogram
+
+            def rss_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmRSS:"))
+
+            trace = detsim.read_trace(sys.argv[1])
+            before = rss_kb()
+            got = occupation_histogram(trace, 0.02)
+            added_kb = rss_kb() - before
+            array = detsim.TimeTrace(1e7, 0.0, np.fromfile(sys.argv[1] + ".f64", dtype="<f8"))
+            want = occupation_histogram(array, 0.02)
+            same = [np.array_equal(getattr(got, k), getattr(want, k))
+                    for k in ("counts", "bin_centers", "peak_levels_v")]
+            print(added_kb, all(same), got.n_peaks)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "trace")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        added_kb, same, n_peaks = proc.stdout.split()
+        assert (same, n_peaks) == ("True", "2")
+        assert int(added_kb) < 5 * 1024
 
 
 class TestEstimateEqe:

@@ -1,11 +1,14 @@
 import dataclasses
+import errno
 import gc
+import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -66,6 +69,17 @@ class TestParams:
         assert p.absorptance(PulsePolarization.zigzag()) == pytest.approx(0.01)
         assert p.absorptance(PulsePolarization.unpolarized()) == pytest.approx(0.255)
         assert p.absorptance(PulsePolarization.linear(45.0)) == pytest.approx(0.255)
+
+    def test_paper_polarized_eqe(self):
+        # Twice the unpolarized EQE exceeds the armchair-polarized one by
+        # zigzag x iqe: the paper's 42.8% (2 x 21.4%) takes the zigzag axis
+        # to absorb nothing.
+        p = DetectorParams()
+        assert (p.absorptance_armchair, p.absorptance_zigzag, p.iqe) == (0.537, 0.0054, 0.79)
+        polarized = p.absorptance(PulsePolarization.armchair()) * p.iqe
+        unpolarized = p.absorptance(PulsePolarization.unpolarized()) * p.iqe
+        assert polarized == pytest.approx(0.42423, abs=1e-15)  # 0.537 x 0.79
+        assert 2 * unpolarized - polarized == pytest.approx(0.0054 * 0.79, abs=1e-15)
 
 
 class TestSimulate:
@@ -313,11 +327,13 @@ class TestStreamedTrace:
     """`synthesize_trace` with a path writes, block by block, the bytes of the array."""
 
     @settings(max_examples=150, deadline=None)
-    @given(block_cases(), st.integers(0, 2**32 - 1))
-    def test_file_holds_the_array_bytes(self, case, seed):
+    @given(block_cases(), st.integers(0, 2**32 - 1), st.integers(1, 1000))
+    def test_file_holds_the_array_bytes(self, case, seed, noise_samples):
+        # the noise is drawn in runs of one block or of several
         record, params, n, block = case
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(detsim, "_BLOCK_SAMPLES", block):
+                mock.patch.object(detsim, "_BLOCK_SAMPLES", block), \
+                mock.patch.object(detsim, "_NOISE_SAMPLES", noise_samples):
             path = Path(tmp) / "trace.f64"
             mapped = synthesize_trace(record, params, n / 1e7, 1e7, seed, path=path)
             assert isinstance(mapped.samples, np.memmap) and mapped.n_samples == n
@@ -388,6 +404,79 @@ class TestStreamedTrace:
         starts, stops = np.array([3, 0, 40]), np.array([10, 1, 50])
         got = [w.tolist() for w in back.windows(starts, stops)]
         assert got == [list(range(3, 10)), [0], list(range(40, 50))]
+
+
+class TestNoiseWorker:
+    """`_render` draws the noise on one worker thread, which ends on every
+    exit path before `synthesize_trace` returns or raises."""
+
+    record = EventRecord([100.0, 9_000.0], [300.0, 12_000.0])
+    duration_s = 0.03  # 300 000 samples at 10 MS/s: five blocks
+
+    def test_ends_with_a_full_trace(self, tmp_path):
+        before = threading.active_count()
+        synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1)
+        assert threading.active_count() == before
+        synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1,
+                         path=tmp_path / "trace.f64")
+        assert threading.active_count() == before
+
+    def test_ends_when_the_blocks_are_closed_early(self):
+        before = threading.active_count()
+        blocks = detsim._render(self.record, DetectorParams(), 300_000, 1e7, seed=1)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_ends_when_the_write_fails(self):
+        before = threading.active_count()
+        alive = []
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                if self.tell():
+                    alive.append(threading.active_count())
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        with mock.patch.object(detsim, "_create", lambda path: FullDisk()), \
+                pytest.raises(OSError, match=os.strerror(errno.ENOSPC)) as failed:
+            synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1,
+                             path="trace.f64")
+        assert alive == [before + 1]  # the worker ran when the write failed
+        assert threading.active_count() == before  # while the error, and its frames, live
+        assert failed.value.errno == errno.ENOSPC
+
+    def test_a_failed_draw_reaches_the_caller(self):
+        real = np.random.default_rng
+
+        class FailsThird:
+            def __init__(self, seed):
+                self.rng, self.calls = real(seed), 0
+
+            def normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("third draw failed")
+                return self.rng.normal(*args, **kwargs)
+
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        with mock.patch.object(detsim.np.random, "default_rng", FailsThird):
+            caller = threading.Thread(target=call, daemon=True)  # a hung one fails, not pytest
+            caller.start()
+            caller.join(timeout=30)
+        assert not caller.is_alive()  # it did not hang
+        assert raised == ["third draw failed"]
+        assert threading.active_count() == before
 
 
 class TestArrayFormsMatchLoops:
