@@ -353,8 +353,8 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
     smaller block is drawn for in runs of blocks up to `_NOISE_SAMPLES`, so
     that a hand-off, which costs two thread switches, is not paid per tiny
     block. The cost is one waiting draw (512 KB) and, on one CPU, the
-    switches: `spdsim simulate` of a 15 M-sample trace took ~10% longer
-    pinned to one CPU, and ~19% less time on two. The worker ends once it
+    switches: `spdsim simulate` of a 15 M-sample trace took 0-2% longer
+    pinned to one CPU, and ~20% less time on two. The worker ends once it
     has handed over its last draw, when the generator is closed or
     collected, or when it raises, and the caller then raises its error.
     """
