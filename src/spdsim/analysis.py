@@ -197,19 +197,32 @@ def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     a run at either end never is; it sits at the run's middle, rounded down.
     Its prominence is its height less the higher of the two minimums between
     it and the nearest strictly higher value on each side, or the array's end.
+    Every peak walks out to those values at once, by halving jumps over
+    tables of the max and min of each span of 2^k values.
     """
     change = np.flatnonzero(x[1:] != x[:-1]) + 1
     starts, ends = change[:-1], change[1:] - 1  # the runs with two neighbours
     top = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
     peaks = (starts[top] + ends[top]) // 2
-    keep = np.zeros(peaks.size, dtype=bool)
-    for j, i in enumerate(peaks):
-        higher = np.flatnonzero(x > x[i])
-        k = np.searchsorted(higher, i)
-        lo = higher[k - 1] + 1 if k > 0 else 0
-        hi = higher[k] if k < higher.size else x.size
-        keep[j] = x[i] - max(x[lo:i + 1].min(), x[i:hi].min()) >= prominence
-    return peaks[keep]
+    highs, lows = [x], [x]  # [k][j]: the max and the min of x[j:j + 2**k]
+    while 2 ** len(highs) <= x.size:
+        w = 2 ** (len(highs) - 1)
+        highs.append(np.maximum(highs[-1][:-w], highs[-1][w:]))
+        lows.append(np.minimum(lows[-1][:-w], lows[-1][w:]))
+    height = x[peaks]
+    lo, hi = peaks, peaks + 1  # x[lo:hi] holds no value above the peak's
+    low_left = low_right = height
+    for k in reversed(range(len(highs))):
+        w = 2 ** k
+        j = np.maximum(lo - w, 0)
+        jump = (lo >= w) & (highs[k][j] <= height)
+        low_left = np.where(jump, np.minimum(low_left, lows[k][j]), low_left)
+        lo = np.where(jump, j, lo)
+        j = np.minimum(hi, x.size - w)
+        jump = (hi + w <= x.size) & (highs[k][j] <= height)
+        low_right = np.where(jump, np.minimum(low_right, lows[k][j]), low_right)
+        hi = np.where(jump, hi + w, hi)
+    return peaks[height - np.maximum(low_left, low_right) >= prominence]
 
 
 @dataclass

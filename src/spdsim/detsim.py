@@ -47,7 +47,6 @@ from .source import CoherentPulseTrain, PulsePolarization
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
 _BLOCK_SAMPLES = 1 << 16  # samples per block rendered by `_render`
-_NOISE_SAMPLES = 1 << 16  # at most, samples per noise draw of `_render`: 512 KB
 # Peak bytes per candidate capture in `simulate` when every candidate is
 # accepted. When all are dark, the peak is the origin lookup: candidate times
 # and dwells, the dark candidates' indices, the kept indices and three
@@ -345,18 +344,15 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
     noise.
 
     The noise is drawn on one worker thread (`_NoiseAhead`), one block ahead
-    of the block being rendered; numpy releases the interpreter lock while
-    it draws, so on two CPUs the draw runs beside the level, the edges and
-    the caller's write. Its draws come from the one generator, in order, so
-    they join into the stream of a single full-length draw and the samples
-    keep their bytes. At the default block size each draw is one block; a
-    smaller block is drawn for in runs of blocks up to `_NOISE_SAMPLES`, so
-    that a hand-off, which costs two thread switches, is not paid per tiny
-    block. The cost is one waiting draw (512 KB) and, on one CPU, the
-    switches: `spdsim simulate` of a 15 M-sample trace took 0-2% longer
-    pinned to one CPU, and ~20% less time on two. The worker ends once it
-    has handed over its last draw, when the generator is closed or
-    collected, or when it raises, and the caller then raises its error.
+    of the block being rendered: each block asks for the next block's noise
+    as it takes its own, so at most one draw (512 KB) waits. numpy releases
+    the interpreter lock while it draws, so the draw can run beside the
+    level, the edges and the caller's write when the worker gets a second
+    CPU. Its draws come from the one generator, in order, so they join into
+    the stream of a single full-length draw and the samples keep their
+    bytes. Each block is one draw at any block size; a hand-off costs two
+    thread switches. The worker ends when the generator is exhausted,
+    closed or collected, and a draw that raises is raised by the caller.
     """
     rng = np.random.default_rng(seed)
     dt_us = 1e6 / sample_rate_hz
@@ -387,9 +383,10 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
     volts *= -step  # occupancy, turned into volts in place
     volts += params.baseline_v
 
-    noise = (_NoiseAhead(rng, params.noise_sigma_v, n, _BLOCK_SAMPLES)
-             if params.noise_sigma_v > 0 else None)
+    noise = _NoiseAhead(rng, params.noise_sigma_v) if params.noise_sigma_v > 0 else None
     try:
+        if noise is not None:
+            noise.ask(min(n, _BLOCK_SAMPLES))
         for lo in range(0, n, _BLOCK_SAMPLES):
             hi = min(n, lo + _BLOCK_SAMPLES)
             a, b = np.searchsorted(run_starts, [lo, hi - 1], side="right")
@@ -405,7 +402,10 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
                     ok = (idx < hi) & (idx < starts[sel, None] + span)
                     np.add.at(block, idx[ok] - lo, vals[ok])
             if noise is not None:
-                block += noise.take(hi - lo)
+                draw = noise.take()
+                if hi < n:  # the next block's, drawn while this one is added and used
+                    noise.ask(min(n - hi, _BLOCK_SAMPLES))
+                block += draw
             yield block
     finally:
         if noise is not None:
@@ -413,58 +413,40 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
 
 
 class _NoiseAhead:
-    """The noise of `_render`'s trace of `n` samples in blocks of `block`:
-    `rng.normal(0, sigma, size)` for each run of whole blocks that fits in
-    `_NOISE_SAMPLES` (one block at the default size), in order, each drawn on
-    one worker thread while the caller renders blocks of the run before it.
-    At most one drawn run waits. `take(size)` returns the next `size`
-    samples, a block's, or raises what the worker raised; `close` stops the
+    """`rng.normal(0, sigma, size)` for each `size` asked for, in order, each
+    drawn on one daemon worker thread while the caller renders. `take`
+    returns the next draw, or raises what that draw raised; `close` ends the
     worker and waits for it to end."""
 
-    def __init__(self, rng: np.random.Generator, sigma: float, n: int, block: int):
-        self._turn = threading.Condition()
-        self._waiting = None  # the drawn run that waits for `take`
-        self._error = None
-        self._closed = False
-        self._run, self._used = np.empty(0), 0  # the run `take` slices
-        width = block * max(1, _NOISE_SAMPLES // block)
-        # A daemon, so that a `_render` still open at exit, whose worker
-        # waits to hand over a run, does not keep the interpreter alive.
-        self._worker = threading.Thread(target=self._draw, args=(rng, sigma, n, width),
+    def __init__(self, rng: np.random.Generator, sigma: float):
+        import queue  # here: a noiseless trace, and every other command, need no queue
+
+        self._asks, self._draws = queue.SimpleQueue(), queue.SimpleQueue()
+        # A daemon, so that a `_render` still open at exit does not keep the
+        # interpreter alive.
+        self._worker = threading.Thread(target=self._draw, args=(rng, sigma),
                                         name="spdsim-noise", daemon=True)
         self._worker.start()
 
-    def _draw(self, rng, sigma, n, width):
-        try:
-            for lo in range(0, n, width):
-                with self._turn:
-                    self._turn.wait_for(lambda: self._waiting is None or self._closed)
-                    if self._closed:
-                        return
-                run = rng.normal(0.0, sigma, size=min(width, n - lo))
-                with self._turn:
-                    self._waiting = run
-                    self._turn.notify()
-        except BaseException as exc:  # handed to the caller, which raises it
-            with self._turn:
-                self._error = exc
-                self._turn.notify()
+    def _draw(self, rng, sigma):
+        for size in iter(self._asks.get, None):  # a None ask ends the worker
+            try:
+                draw = rng.normal(0.0, sigma, size=size)
+            except BaseException as exc:  # in the draw's place: the caller raises it
+                draw = exc
+            self._draws.put(draw)
 
-    def take(self, size: int) -> np.ndarray:
-        if self._used == self._run.size:
-            with self._turn:
-                self._turn.wait_for(lambda: self._waiting is not None or self._error is not None)
-                if self._waiting is None:
-                    raise self._error
-                self._run, self._waiting, self._used = self._waiting, None, 0
-                self._turn.notify()
-        self._used += size
-        return self._run[self._used - size:self._used]
+    def ask(self, size: int) -> None:
+        self._asks.put(size)
+
+    def take(self) -> np.ndarray:
+        draw = self._draws.get()
+        if isinstance(draw, BaseException):
+            raise draw
+        return draw
 
     def close(self) -> None:
-        with self._turn:
-            self._closed = True
-            self._turn.notify()
+        self._asks.put(None)
         self._worker.join()
 
 

@@ -28,10 +28,9 @@ DEFAULT_LAYERS = (("hbn", DEFAULT_TOP_HBN_NM), ("bp", BP_THICKNESS_NM), ("mos2",
 
 
 def device_stack(top_hbn_nm: float = DEFAULT_TOP_HBN_NM,
-                 bottom_hbn_nm: float = DEFAULT_BOTTOM_HBN_NM,
-                 bp_nm: float = BP_THICKNESS_NM) -> LayerStack:
-    """Device-default stack with configurable hBN spacer and BP thicknesses."""
-    chosen = {0: top_hbn_nm, 1: bp_nm, 4: bottom_hbn_nm}  # positions in DEFAULT_LAYERS
+                 bottom_hbn_nm: float = DEFAULT_BOTTOM_HBN_NM) -> LayerStack:
+    """Device-default stack with configurable hBN spacer thicknesses."""
+    chosen = {0: top_hbn_nm, 4: bottom_hbn_nm}  # positions in DEFAULT_LAYERS
     layers = tuple(Layer(materials.bundled(name), chosen.get(i, t))
                    for i, (name, t) in enumerate(DEFAULT_LAYERS))
     return LayerStack(layers, incident=materials.AIR, exit=materials.bundled("si"))

@@ -812,8 +812,10 @@ def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "o").exists()
 
 
-# Makes scipy unimportable, imports every spdsim module, runs every CLI command
-# and occupation_histogram in one fresh interpreter, then lists the scipy
+# Makes scipy unimportable, notes which of queue, concurrent.futures and
+# logging `import spdsim.cli` loaded (each would cost every command its
+# import), imports every spdsim module, runs every CLI command and
+# occupation_histogram in one fresh interpreter, then lists the scipy
 # modules it loaded.
 STARTUP_SCRIPT = textwrap.dedent("""
     import importlib
@@ -827,6 +829,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
                 raise ImportError(f"{name} is not installed")
 
     sys.meta_path.insert(0, NoScipy())
+    import spdsim.cli
+    lazy = sorted(m for m in ("queue", "concurrent.futures", "logging") if m in sys.modules)
     import spdsim
     for module in pkgutil.iter_modules(spdsim.__path__):
         importlib.import_module(f"spdsim.{module.name}")
@@ -857,6 +861,7 @@ STARTUP_SCRIPT = textwrap.dedent("""
     assert analysis.occupation_histogram(trace, 0.05).n_peaks >= 1
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     print("scipy modules:", loaded)
+    print("lazy modules at import:", lazy)
 """)
 
 
@@ -901,3 +906,4 @@ class TestStartup:
         proc = run_fresh(STARTUP_SCRIPT, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "scipy modules: []" in proc.stdout, proc.stdout
+        assert "lazy modules at import: []" in proc.stdout, proc.stdout

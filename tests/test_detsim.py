@@ -327,13 +327,11 @@ class TestStreamedTrace:
     """`synthesize_trace` with a path writes, block by block, the bytes of the array."""
 
     @settings(max_examples=150, deadline=None)
-    @given(block_cases(), st.integers(0, 2**32 - 1), st.integers(1, 1000))
-    def test_file_holds_the_array_bytes(self, case, seed, noise_samples):
-        # the noise is drawn in runs of one block or of several
+    @given(block_cases(), st.integers(0, 2**32 - 1))
+    def test_file_holds_the_array_bytes(self, case, seed):
         record, params, n, block = case
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(detsim, "_BLOCK_SAMPLES", block), \
-                mock.patch.object(detsim, "_NOISE_SAMPLES", noise_samples):
+                mock.patch.object(detsim, "_BLOCK_SAMPLES", block):
             path = Path(tmp) / "trace.f64"
             mapped = synthesize_trace(record, params, n / 1e7, 1e7, seed, path=path)
             assert isinstance(mapped.samples, np.memmap) and mapped.n_samples == n
@@ -427,6 +425,15 @@ class TestNoiseWorker:
         next(blocks)
         assert threading.active_count() == before + 1
         blocks.close()
+        assert threading.active_count() == before
+
+    def test_ends_when_the_blocks_are_collected(self):
+        before = threading.active_count()
+        blocks = detsim._render(self.record, DetectorParams(), 300_000, 1e7, seed=1)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        del blocks
+        gc.collect()
         assert threading.active_count() == before
 
     def test_ends_when_the_write_fails(self):
