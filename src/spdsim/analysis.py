@@ -166,6 +166,8 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
     if bin_width_v <= 0:
         raise ValueError("bin width must be positive")
     n = trace.n_samples
+    if n == 0:
+        raise ValueError("trace has no samples")
     starts = np.arange(0, n, _HISTOGRAM_WINDOW)
     stops = np.minimum(starts + _HISTOGRAM_WINDOW, n)
     lows, highs = np.empty(starts.size), np.empty(starts.size)

@@ -21,7 +21,7 @@ import yaml
 
 from . import analysis, device, materials
 from .detsim import DetectorParams
-from .source import Attenuator, CoherentPulseTrain, PowerReading, PulsePolarization, Splitter
+from .source import Attenuator, CoherentPulseTrain, PowerReading, Splitter
 from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
 
 
@@ -153,8 +153,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
                  f"stack.layers[{i}].thickness_nm", "must be a finite nonnegative number")
 
     pol = cfg["source"]["polarization"]
-    _require(pol in PulsePolarization.NAMED or _is_number(pol), "source.polarization",
-             "must be 'unpolarized', 'armchair', 'zigzag', or an angle in degrees")
+    _require(pol in list(materials.Polarization) or _is_number(pol), "source.polarization",
+             "must be one of " + ", ".join(materials.Polarization) + " or an angle in degrees")
     _construct("source", lambda: build_source(cfg))
 
     det = dict(cfg["detector"])
@@ -224,19 +224,14 @@ def build_stack(cfg: dict[str, Any]) -> LayerStack:
                       exit=_material(stack_cfg["exit"]))
 
 
-def build_polarization(value) -> PulsePolarization:
-    if value in PulsePolarization.NAMED:
-        return getattr(PulsePolarization, value)()
-    return PulsePolarization.linear(float(value))
-
-
 def build_source(cfg: dict[str, Any], shutter_open: bool = True) -> CoherentPulseTrain:
     src = cfg["source"]
+    pol = src["polarization"]
     return CoherentPulseTrain(
         wavelength_nm=float(src["wavelength_nm"]),
         repetition_rate_hz=float(src["repetition_rate_hz"]),
         mean_photons=float(src["mean_photons"]) if shutter_open else 0.0,
-        polarization=build_polarization(src["polarization"]),
+        polarization=pol if isinstance(pol, str) else float(pol),
     )
 
 

@@ -43,7 +43,8 @@ from typing import BinaryIO
 import numpy as np
 
 from . import check_memory
-from .source import CoherentPulseTrain, PulsePolarization
+from .materials import Polarization
+from .source import CoherentPulseTrain
 
 LN9 = math.log(9.0)  # 10-90% span of a single exponential, in time constants
 _BLOCK_SAMPLES = 1 << 16  # samples per block rendered by `_render`
@@ -57,6 +58,7 @@ _CANDIDATE_BYTES = 60
 
 ORIGIN_PHOTON = "photon"
 ORIGIN_DARK = "dark"
+_AXIS_ANGLE_DEG = {Polarization.ARMCHAIR: 0.0, Polarization.ZIGZAG: 90.0}
 
 
 @dataclass
@@ -104,11 +106,13 @@ class DetectorParams:
         if not self.max_occupancy >= 1:
             raise ValueError(f"max_occupancy must be at least 1, got {self.max_occupancy}")
 
-    def absorptance(self, polarization: PulsePolarization) -> float:
-        """Effective absorptance for the given photon polarization state."""
-        if polarization.is_unpolarized:
+    def absorptance(self, polarization: Polarization | str | float) -> float:
+        """Effective absorptance for light polarized as `CoherentPulseTrain`
+        takes it: unpolarized light gets the mean of the two axes, and
+        armchair and zigzag are the angles 0 and 90 degrees."""
+        if polarization == Polarization.UNPOLARIZED:
             return 0.5 * (self.absorptance_armchair + self.absorptance_zigzag)
-        theta = math.radians(polarization.angle_deg)
+        theta = math.radians(_AXIS_ANGLE_DEG.get(polarization, polarization))
         return (self.absorptance_armchair * math.cos(theta) ** 2
                 + self.absorptance_zigzag * math.sin(theta) ** 2)
 
@@ -599,15 +603,20 @@ def read_events_csv(path: str | Path) -> EventRecord:
 
 
 def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
-    """Binary little-endian float64 samples plus a JSON sidecar. Samples
-    mapped from that binary file are there already, and are left alone."""
+    """Binary little-endian float64 samples plus a JSON sidecar. The samples
+    are written through `trace.windows` in blocks of `_BLOCK_SAMPLES`, so a
+    mapped trace is copied in bounded memory; samples mapped from that
+    binary file are there already, and are left alone."""
     base = Path(base_path)
     bin_path = base.with_suffix(".f64")
     meta_path = base.with_suffix(".json")
     if not (trace.file is not None and bin_path.exists()
             and os.path.samestat(os.fstat(trace.file.fileno()), bin_path.stat())):
+        starts = np.arange(0, trace.n_samples, _BLOCK_SAMPLES)
         with _create(bin_path) as f:
-            trace.samples.astype("<f8", copy=False).tofile(f)
+            for window in trace.windows(starts, np.minimum(starts + _BLOCK_SAMPLES,
+                                                           trace.n_samples)):
+                f.write(np.ascontiguousarray(window, dtype="<f8"))  # a view, when it can be
     meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
             "duration": trace.duration_s, "n_samples": trace.n_samples}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -5,8 +5,9 @@ per pulse is Poisson with mean ``n_bar = mean_power * lambda / (h c f)``.
 Attenuation preserves the Poisson character and only scales ``n_bar``, so an
 optical chain of splitters and absorptive attenuators reduces to a single
 transmittance factor; a fiber adds none, so the chain holds no stage for it.
-The light's polarization at the device is the source's own setting, a linear
-axis angle or "unpolarized"; the chain does not change it.
+The light's polarization at the device is the source's own setting, a
+`materials.Polarization` or a linear angle in degrees from the armchair axis;
+the chain does not change it.
 
 Power-meter readings carry a relative uncertainty (default 5%) that
 propagates multiplicatively to the inferred mean photon number.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .materials import Polarization
 
 # CODATA: h is exact in SI since 2019; c is exact by definition.
 PLANCK_H = 6.62607015e-34  # J s
@@ -30,49 +33,18 @@ def photon_energy_joules(wavelength_nm: float) -> float:
 
 
 @dataclass(frozen=True)
-class PulsePolarization:
-    """Linear polarization at `angle_deg` in the device frame; None = unpolarized.
-
-    Angle 0 is aligned with the absorber's armchair axis, 90 with zigzag.
-    """
-
-    angle_deg: float | None = None
-    NAMED = ("unpolarized", "armchair", "zigzag")  # the classmethods that name a state
-
-    def __post_init__(self):
-        if self.angle_deg is not None and not math.isfinite(self.angle_deg):
-            raise ValueError(
-                f"polarization must be a finite angle in degrees, got {self.angle_deg}")
-
-    @classmethod
-    def unpolarized(cls) -> "PulsePolarization":
-        return cls(None)
-
-    @classmethod
-    def linear(cls, angle_deg: float) -> "PulsePolarization":
-        return cls(float(angle_deg))
-
-    @classmethod
-    def armchair(cls) -> "PulsePolarization":
-        return cls.linear(0.0)
-
-    @classmethod
-    def zigzag(cls) -> "PulsePolarization":
-        return cls.linear(90.0)
-
-    @property
-    def is_unpolarized(self) -> bool:
-        return self.angle_deg is None
-
-
-@dataclass(frozen=True)
 class CoherentPulseTrain:
-    """Pulsed coherent source: Poisson photon number with mean `mean_photons`."""
+    """Pulsed coherent source: Poisson photon number with mean `mean_photons`.
+
+    `polarization` is a `materials.Polarization`, or its name, or a linear
+    polarization at a finite angle in degrees from the armchair axis (90 is
+    zigzag). A name is kept as its `Polarization` member.
+    """
 
     wavelength_nm: float
     repetition_rate_hz: float
     mean_photons: float
-    polarization: PulsePolarization = PulsePolarization.unpolarized()
+    polarization: Polarization | float = Polarization.UNPOLARIZED
 
     def __post_init__(self):
         for name in ("wavelength_nm", "repetition_rate_hz"):
@@ -81,6 +53,11 @@ class CoherentPulseTrain:
                 raise ValueError(f"{name} must be positive, got {v}")
         if not self.mean_photons >= 0:
             raise ValueError(f"mean_photons must be nonnegative, got {self.mean_photons}")
+        pol = self.polarization
+        if pol in list(Polarization):
+            object.__setattr__(self, "polarization", Polarization(pol))
+        elif isinstance(pol, str) or not math.isfinite(pol):
+            raise ValueError(f"polarization must be a finite angle in degrees, got {pol!r}")
 
     @property
     def photon_flux_hz(self) -> float:

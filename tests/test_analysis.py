@@ -382,6 +382,11 @@ class TestOccupationHistogram:
         with pytest.raises(ValueError):
             occupation_histogram(trace, 0.0)
 
+    def test_empty_trace_is_named(self):
+        trace = detsim.TimeTrace(1e6, 0.0, np.empty(0))
+        with pytest.raises(ValueError, match="^trace has no samples$"):
+            occupation_histogram(trace, 0.01)
+
     def test_file_trace_is_read_in_windows(self, tmp_path):
         # 3 M samples (24 MB) on two levels. In a child process, so that
         # VmRSS is the call's own: a page read through the map would stay.
@@ -476,9 +481,8 @@ class TestEstimateEqe:
             n_d = detsim.simulate(params, dark, duration, seeds[1]).n_detections
             return estimate_eqe(n_l, n_d, n_bar, f, duration)
 
-        from spdsim.source import PulsePolarization
-        unpol = estimate(PulsePolarization.unpolarized(), (200, 201))
-        armchair = estimate(PulsePolarization.armchair(), (202, 203))
+        unpol = estimate("unpolarized", (200, 201))
+        armchair = estimate("armchair", (202, 203))
         ratio_sigma = 2 * math.hypot(armchair.eqe_sigma / armchair.eqe,
                                      unpol.eqe_sigma / unpol.eqe)
         assert armchair.eqe / unpol.eqe == pytest.approx(2.0, abs=3 * ratio_sigma)

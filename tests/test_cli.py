@@ -24,11 +24,11 @@ from spdsim import analysis, cli, config as cfgmod, detsim, tmm
 from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
                            build_stack, load_config)
 from spdsim.detsim import DetectorParams
-from spdsim.source import Attenuator, PulsePolarization, Splitter
+from spdsim.source import Attenuator, Splitter
 
 DEFAULT_PARAMS = DetectorParams()
 # EQE of the default detector for unpolarized light: absorptance times iqe.
-DEFAULT_EQE = DEFAULT_PARAMS.absorptance(PulsePolarization.unpolarized()) * DEFAULT_PARAMS.iqe
+DEFAULT_EQE = DEFAULT_PARAMS.absorptance("unpolarized") * DEFAULT_PARAMS.iqe
 
 
 def run_cli(*argv):
@@ -871,9 +871,9 @@ STARTUP_SCRIPT = textwrap.dedent("""
 SIMULATE_SCRIPT = textwrap.dedent("""
     import sys
     from spdsim.detsim import DetectorParams, simulate
-    from spdsim.source import CoherentPulseTrain, PulsePolarization
+    from spdsim.source import CoherentPulseTrain
 
-    source = CoherentPulseTrain(1550.0, 1e6, 2.0, PulsePolarization.unpolarized())
+    source = CoherentPulseTrain(1550.0, 1e6, 2.0, "unpolarized")
     record = simulate(DetectorParams(), source, 1.0, seed=1)
     assert set(record.origins.tolist()) == {"dark", "photon"}
     print("numpy.ma loaded:", "numpy.ma" in sys.modules)

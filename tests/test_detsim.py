@@ -25,7 +25,7 @@ from oracles import (accept_loop, per_pulse_detection_probability, read_events_c
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
-from spdsim.source import (Attenuator, CoherentPulseTrain, PulsePolarization, Splitter,
+from spdsim.source import (Attenuator, CoherentPulseTrain, Splitter,
                            chain_transmittance)
 
 
@@ -37,7 +37,7 @@ def _parses_as_float(text):
     return True
 
 
-def train(n_bar, f=1e4, polarization=PulsePolarization.unpolarized()):
+def train(n_bar, f=1e4, polarization="unpolarized"):
     return CoherentPulseTrain(1550.0, f, n_bar, polarization)
 
 
@@ -65,10 +65,10 @@ class TestParams:
 
     def test_polarized_absorptance(self):
         p = DetectorParams(absorptance_armchair=0.5, absorptance_zigzag=0.01)
-        assert p.absorptance(PulsePolarization.armchair()) == pytest.approx(0.5)
-        assert p.absorptance(PulsePolarization.zigzag()) == pytest.approx(0.01)
-        assert p.absorptance(PulsePolarization.unpolarized()) == pytest.approx(0.255)
-        assert p.absorptance(PulsePolarization.linear(45.0)) == pytest.approx(0.255)
+        assert p.absorptance("armchair") == pytest.approx(0.5)
+        assert p.absorptance("zigzag") == pytest.approx(0.01)
+        assert p.absorptance("unpolarized") == pytest.approx(0.255)
+        assert p.absorptance(45.0) == pytest.approx(0.255)
 
     def test_paper_polarized_eqe(self):
         # Twice the unpolarized EQE exceeds the armchair-polarized one by
@@ -76,8 +76,8 @@ class TestParams:
         # to absorb nothing.
         p = DetectorParams()
         assert (p.absorptance_armchair, p.absorptance_zigzag, p.iqe) == (0.537, 0.0054, 0.79)
-        polarized = p.absorptance(PulsePolarization.armchair()) * p.iqe
-        unpolarized = p.absorptance(PulsePolarization.unpolarized()) * p.iqe
+        polarized = p.absorptance("armchair") * p.iqe
+        unpolarized = p.absorptance("unpolarized") * p.iqe
         assert polarized == pytest.approx(0.42423, abs=1e-15)  # 0.537 x 0.79
         assert 2 * unpolarized - polarized == pytest.approx(0.0054 * 0.79, abs=1e-15)
 
@@ -110,9 +110,9 @@ class TestSimulate:
 
     def test_polarization_selects_absorptance(self):
         params = ideal_params(absorptance_armchair=0.8, absorptance_zigzag=0.0)
-        ac = simulate(params, train(0.05, polarization=PulsePolarization.armchair()),
+        ac = simulate(params, train(0.05, polarization="armchair"),
                       20.0, seed=5)
-        zz = simulate(params, train(0.05, polarization=PulsePolarization.zigzag()),
+        zz = simulate(params, train(0.05, polarization="zigzag"),
                       20.0, seed=5)
         assert zz.n_captures == 0
         expected = 1e4 * 20.0 * (1 - math.exp(-0.05 * 0.8))
@@ -197,7 +197,7 @@ class TestSimulate:
         # Thinning a Poisson photon number by a chain, the absorptance and
         # the iqe leaves a Poisson capture count with the product mean.
         factor = chain_transmittance((Attenuator(0.5), Splitter(0.4)))
-        source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, PulsePolarization.linear(30.0))
+        source = CoherentPulseTrain(1550.0, 1e6, 9.0 * factor, 30.0)
         params = DetectorParams(dark_rate_hz=0.0, dead_time_us=0.0, max_occupancy=10 ** 9)
         record = simulate(params, source, 1.0, seed=2024)
         n_pulses = 1_000_000
@@ -394,6 +394,36 @@ class TestStreamedTrace:
         with pytest.raises(ValueError, match=f"^{path}: shorter than its map$"):
             list(trace.windows(np.array([0, 50]), np.array([50, 200])))
 
+    def test_write_trace_copies_a_file_trace_in_bounded_memory(self, tmp_path):
+        # 4 M samples (32 MB). In a child process, so that VmRSS is the
+        # copy's own: a page read through the map would stay.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("VmRSS needs /proc/self/status")
+        samples = np.random.default_rng(4).normal(0.0, 0.05, 1 << 22)
+        write_trace(detsim.TimeTrace(1e7, 0.0, samples), tmp_path / "trace")
+        del samples
+        script = textwrap.dedent("""
+            import sys
+            from spdsim import detsim
+
+            def rss_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmRSS:"))
+
+            trace = detsim.read_trace(sys.argv[1] + "/trace")
+            before = rss_kb()
+            detsim.write_trace(trace, sys.argv[1] + "/copy")
+            print(rss_kb() - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(detsim.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "copy.f64").read_bytes() == (tmp_path / "trace.f64").read_bytes()
+        assert int(proc.stdout) < 5 * 1024
+
     def test_read_trace_maps_and_windows_read(self, tmp_path):
         trace = detsim.TimeTrace(1e6, 0.0, np.arange(50.0))
         write_trace(trace, tmp_path / "trace")
@@ -406,17 +436,27 @@ class TestStreamedTrace:
 
 class TestNoiseWorker:
     """`_render` draws the noise on one worker thread, which ends on every
-    exit path before `synthesize_trace` returns or raises."""
+    exit path before `synthesize_trace` returns or raises. The step that
+    ends the worker runs on a daemon helper with a bounded join, so a
+    worker that never ends fails the test instead of hanging the suite."""
 
     record = EventRecord([100.0, 9_000.0], [300.0, 12_000.0])
     duration_s = 0.03  # 300 000 samples at 10 MS/s: five blocks
 
+    @staticmethod
+    def ends(step):
+        helper = threading.Thread(target=step, daemon=True)
+        helper.start()
+        helper.join(timeout=30)
+        assert not helper.is_alive()  # it did not hang
+
     def test_ends_with_a_full_trace(self, tmp_path):
         before = threading.active_count()
-        synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1)
+        self.ends(lambda: synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7,
+                                           seed=1))
         assert threading.active_count() == before
-        synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1,
-                         path=tmp_path / "trace.f64")
+        self.ends(lambda: synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7,
+                                           seed=1, path=tmp_path / "trace.f64"))
         assert threading.active_count() == before
 
     def test_ends_when_the_blocks_are_closed_early(self):
@@ -424,21 +464,21 @@ class TestNoiseWorker:
         blocks = detsim._render(self.record, DetectorParams(), 300_000, 1e7, seed=1)
         next(blocks)
         assert threading.active_count() == before + 1
-        blocks.close()
+        self.ends(blocks.close)
         assert threading.active_count() == before
 
     def test_ends_when_the_blocks_are_collected(self):
         before = threading.active_count()
-        blocks = detsim._render(self.record, DetectorParams(), 300_000, 1e7, seed=1)
-        next(blocks)
+        held = [detsim._render(self.record, DetectorParams(), 300_000, 1e7, seed=1)]
+        next(held[0])
         assert threading.active_count() == before + 1
-        del blocks
-        gc.collect()
+        # The helper drops the last reference, so the generator is finalised there.
+        self.ends(lambda: (held.clear(), gc.collect()))
         assert threading.active_count() == before
 
     def test_ends_when_the_write_fails(self):
         before = threading.active_count()
-        alive = []
+        alive, failed = [], []
 
         class FullDisk(io.BytesIO):
             def write(self, data):
@@ -447,13 +487,18 @@ class TestNoiseWorker:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return super().write(data)
 
-        with mock.patch.object(detsim, "_create", lambda path: FullDisk()), \
-                pytest.raises(OSError, match=os.strerror(errno.ENOSPC)) as failed:
-            synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1,
-                             path="trace.f64")
-        assert alive == [before + 1]  # the worker ran when the write failed
+        def write():
+            try:
+                synthesize_trace(self.record, DetectorParams(), self.duration_s, 1e7, seed=1,
+                                 path="trace.f64")
+            except OSError as exc:
+                failed.append(exc)
+
+        with mock.patch.object(detsim, "_create", lambda path: FullDisk()):
+            self.ends(write)
+        assert alive == [before + 2]  # the helper and the worker ran when the write failed
         assert threading.active_count() == before  # while the error, and its frames, live
-        assert failed.value.errno == errno.ENOSPC
+        assert [exc.errno for exc in failed] == [errno.ENOSPC]
 
     def test_a_failed_draw_reaches_the_caller(self):
         real = np.random.default_rng
@@ -478,10 +523,7 @@ class TestNoiseWorker:
                 raised.append(str(exc))
 
         with mock.patch.object(detsim.np.random, "default_rng", FailsThird):
-            caller = threading.Thread(target=call, daemon=True)  # a hung one fails, not pytest
-            caller.start()
-            caller.join(timeout=30)
-        assert not caller.is_alive()  # it did not hang
+            self.ends(call)
         assert raised == ["third draw failed"]
         assert threading.active_count() == before
 

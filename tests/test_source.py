@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from oracles import multi_photon_series, poisson_pmf_series
+from spdsim.materials import Polarization
 from spdsim.source import (PLANCK_H, SPEED_OF_LIGHT, Attenuator, CoherentPulseTrain,
-                           PowerReading, PulsePolarization, Splitter, calibrate_flux,
+                           PowerReading, Splitter, calibrate_flux,
                            chain_transmittance, mean_photons_from_power,
                            multi_photon_probability, photon_energy_joules, poisson_pmf)
 
@@ -105,7 +106,7 @@ def test_pulse_count_ends_before_the_duration():
 
 class TestChain:
     def train(self):
-        return CoherentPulseTrain(1550.0, 1e4, 1e6, PulsePolarization.armchair())
+        return CoherentPulseTrain(1550.0, 1e4, 1e6, "armchair")
 
     def test_worked_chain_example(self):
         out = through(self.train(), (Attenuator(1e-6), Splitter(0.5)))
@@ -146,6 +147,15 @@ class TestRangeRules:
         values = {"wavelength_nm": 1550.0, "repetition_rate_hz": 1e4, "mean_photons": 0.1}
         with pytest.raises(ValueError, match=f"^{field} must be "):
             CoherentPulseTrain(**{**values, field: math.nan})
+
+    def test_pulse_train_takes_a_polarization_name_or_a_finite_angle(self):
+        for bad in ("circular", math.inf):
+            with pytest.raises(ValueError, match="^polarization must be a finite angle"):
+                CoherentPulseTrain(1550.0, 1e4, 0.1, bad)
+        assert CoherentPulseTrain(1550.0, 1e4, 0.1, "zigzag").polarization is \
+            Polarization.ZIGZAG
+        assert CoherentPulseTrain(1550.0, 1e4, 0.1).polarization is Polarization.UNPOLARIZED
+        assert CoherentPulseTrain(1550.0, 1e4, 0.1, 30).polarization == 30
 
     @pytest.mark.parametrize("field", ["mean_power_watts", "relative_uncertainty"])
     def test_power_reading_rejects_nan(self, field):
