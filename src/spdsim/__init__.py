@@ -14,6 +14,7 @@ Subpackages map onto the stages of the physical experiment:
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 
+import math
 import os
 
 __version__ = "0.1.0"
@@ -29,3 +30,15 @@ def check_memory(need_bytes: float, what: str) -> None:
     if need_bytes > memory:
         raise ValueError(f"{what}, which need {need_bytes:.4g} bytes; "
                          f"this machine has {memory} bytes")
+
+
+def finite_number(doc: object, path: os.PathLike | str, *keys: str) -> float:
+    """`doc[keys[0]][keys[1]]...` of the JSON document read from `path`, as a
+    float; raise ValueError, naming the file and the key, when it is missing
+    or is not a finite number."""
+    value = doc
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{path}: {'.'.join(keys)} is missing or not a finite number")
+    return float(value)

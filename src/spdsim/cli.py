@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, config as cfgmod, detsim, tmm
+from . import __version__, analysis, config as cfgmod, detsim, finite_number, tmm
 from .source import calibrate_flux
 
 
@@ -205,9 +205,9 @@ def _read_run(run_dir: Path) -> tuple[float, float, float, int]:
     if not path.exists():
         raise FileNotFoundError(f"{run_dir}: missing manifest.json (not a simulate run?)")
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    src = manifest["source"]
-    return (float(src["repetition_rate_hz"]), float(src["mean_photons"]),
-            float(manifest["duration_s"]),
+    return (finite_number(manifest, path, "source", "repetition_rate_hz"),
+            finite_number(manifest, path, "source", "mean_photons"),
+            finite_number(manifest, path, "duration_s"),
             detsim.read_events_csv(Path(run_dir) / "events.csv").n_detections)
 
 

@@ -32,7 +32,6 @@ import heapq
 import json
 import math
 import os
-import threading
 import weakref
 from array import array
 from bisect import bisect_left
@@ -42,7 +41,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import check_memory
+from . import check_memory, finite_number
 from .materials import Polarization
 from .source import CoherentPulseTrain
 
@@ -347,16 +346,16 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
     its level, capture edges and release edges, each in event order, then
     noise.
 
-    The noise is drawn on one worker thread (`_NoiseAhead`), one block ahead
-    of the block being rendered: each block asks for the next block's noise
-    as it takes its own, so at most one draw (512 KB) waits. numpy releases
-    the interpreter lock while it draws, so the draw can run beside the
-    level, the edges and the caller's write when the worker gets a second
-    CPU. Its draws come from the one generator, in order, so they join into
-    the stream of a single full-length draw and the samples keep their
-    bytes. Each block is one draw at any block size; a hand-off costs two
-    thread switches. The worker ends when the generator is exhausted,
-    closed or collected, and a draw that raises is raised by the caller.
+    The noise is drawn on a one-worker `ThreadPoolExecutor`, one task per
+    block and one block ahead: each block submits the next block's draw as
+    it takes its own, so at most one draw (512 KB) waits. numpy releases the
+    interpreter lock while it draws, so the draw can run beside the level,
+    the edges and the caller's write when the worker gets a second CPU. The
+    one worker runs the draws in order from the one generator, so they join
+    into the stream of a single full-length draw and the samples keep their
+    bytes. The executor is shut down, its worker ended, when the blocks are
+    exhausted, closed or collected, and a draw that raises is raised by the
+    caller.
     """
     rng = np.random.default_rng(seed)
     dt_us = 1e6 / sample_rate_hz
@@ -387,10 +386,15 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
     volts *= -step  # occupancy, turned into volts in place
     volts += params.baseline_v
 
-    noise = _NoiseAhead(rng, params.noise_sigma_v) if params.noise_sigma_v > 0 else None
+    pool = ahead = None
+    if params.noise_sigma_v > 0:
+        # here: a noiseless trace, and every other command, need no executor
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1, thread_name_prefix="spdsim-noise")
     try:
-        if noise is not None:
-            noise.ask(min(n, _BLOCK_SAMPLES))
+        if pool is not None:
+            ahead = pool.submit(rng.normal, 0.0, params.noise_sigma_v, min(n, _BLOCK_SAMPLES))
         for lo in range(0, n, _BLOCK_SAMPLES):
             hi = min(n, lo + _BLOCK_SAMPLES)
             a, b = np.searchsorted(run_starts, [lo, hi - 1], side="right")
@@ -405,53 +409,16 @@ def _render(events: EventRecord, params: DetectorParams, n: int, sample_rate_hz:
                     vals = amp * np.exp(-(idx * dt_us - times[sel, None]) / tau)
                     ok = (idx < hi) & (idx < starts[sel, None] + span)
                     np.add.at(block, idx[ok] - lo, vals[ok])
-            if noise is not None:
-                draw = noise.take()
+            if ahead is not None:
+                noise = ahead.result()
                 if hi < n:  # the next block's, drawn while this one is added and used
-                    noise.ask(min(n - hi, _BLOCK_SAMPLES))
-                block += draw
+                    ahead = pool.submit(rng.normal, 0.0, params.noise_sigma_v,
+                                        min(n - hi, _BLOCK_SAMPLES))
+                block += noise
             yield block
     finally:
-        if noise is not None:
-            noise.close()
-
-
-class _NoiseAhead:
-    """`rng.normal(0, sigma, size)` for each `size` asked for, in order, each
-    drawn on one daemon worker thread while the caller renders. `take`
-    returns the next draw, or raises what that draw raised; `close` ends the
-    worker and waits for it to end."""
-
-    def __init__(self, rng: np.random.Generator, sigma: float):
-        import queue  # here: a noiseless trace, and every other command, need no queue
-
-        self._asks, self._draws = queue.SimpleQueue(), queue.SimpleQueue()
-        # A daemon, so that a `_render` still open at exit does not keep the
-        # interpreter alive.
-        self._worker = threading.Thread(target=self._draw, args=(rng, sigma),
-                                        name="spdsim-noise", daemon=True)
-        self._worker.start()
-
-    def _draw(self, rng, sigma):
-        for size in iter(self._asks.get, None):  # a None ask ends the worker
-            try:
-                draw = rng.normal(0.0, sigma, size=size)
-            except BaseException as exc:  # in the draw's place: the caller raises it
-                draw = exc
-            self._draws.put(draw)
-
-    def ask(self, size: int) -> None:
-        self._asks.put(size)
-
-    def take(self) -> np.ndarray:
-        draw = self._draws.get()
-        if isinstance(draw, BaseException):
-            raise draw
-        return draw
-
-    def close(self) -> None:
-        self._asks.put(None)
-        self._worker.join()
+        if pool is not None:
+            pool.shutdown()
 
 
 def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: float,
@@ -626,9 +593,14 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
 def read_trace(base_path: str | Path) -> TimeTrace:
     """The trace `write_trace` wrote, its samples mapped and not yet read."""
     base = Path(base_path)
-    meta = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    meta_path = base.with_suffix(".json")
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    rate, baseline, n = (finite_number(meta, meta_path, key)
+                         for key in ("sample_rate", "baseline", "n_samples"))
+    if not (rate > 0 and n == int(n)):
+        raise ValueError(f"{meta_path}: sample_rate must be positive and n_samples whole")
     f = open(base.with_suffix(".f64"), "rb")
-    if f.seek(0, os.SEEK_END) != 8 * meta["n_samples"]:
+    if f.seek(0, os.SEEK_END) != 8 * n:
         f.close()
         raise ValueError(f"{base}: sample count does not match sidecar")
-    return _mapped(f, meta["sample_rate"], meta["baseline"])
+    return _mapped(f, rate, baseline)

@@ -22,9 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-ARMCHAIR_AXIS = 0
-ZIGZAG_AXIS = 1
-
 
 class Polarization(str, Enum):
     """Linear polarization relative to the absorber's crystal axes."""
@@ -106,12 +103,10 @@ def _first_fault(wl: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[int, str
 
 def _axis_index(material: MaterialDispersion, axis: Polarization | str) -> int:
     axis = Polarization(axis)
-    if not material.is_anisotropic:
+    if not material.is_anisotropic or axis is Polarization.ARMCHAIR:
         return 0
-    if axis is Polarization.ARMCHAIR:
-        return ARMCHAIR_AXIS
     if axis is Polarization.ZIGZAG:
-        return ZIGZAG_AXIS
+        return 1
     raise ValueError(
         f"{material.name}: unpolarized index query on an anisotropic material is "
         "ambiguous; query armchair and zigzag separately"

@@ -792,19 +792,41 @@ class TestCliAnalyze:
         assert captured.out == f"wrote {ana / 'detected_events.csv'}: 651 events\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "trace", "--trace", "missing/trace"],
-    ["analyze", "counts", "--light", "missing/light", "--dark", "missing/dark"],
-    ["analyze", "sweep", "--runs", "missing"],
-    ["source", "calibrate"],  # the default config has no power reading
-    ["analyze", "trace"],
-    ["analyze", "counts"],
-    ["analyze", "sweep"],
+# A four-sample trace file beside its sidecar, which lacks `sample_rate` or
+# holds a string or zero there; a 36-byte file whose sidecar counts 4.5
+# samples; and a run manifest without its `source` block.
+SAMPLES = {"t/trace.f64": bytes(32)}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["analyze", "trace", "--trace", "missing/trace"], {}),
+    (["analyze", "counts", "--light", "missing/light", "--dark", "missing/dark"], {}),
+    (["analyze", "sweep", "--runs", "missing"], {}),
+    (["source", "calibrate"], {}),  # the default config has no power reading
+    (["analyze", "trace"], {}),
+    (["analyze", "counts"], {}),
+    (["analyze", "sweep"], {}),
+    (["analyze", "trace", "--trace", "t/trace"],
+     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4}'}),
+    (["analyze", "trace", "--trace", "t/trace"],
+     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4, "sample_rate": "fast"}'}),
+    (["analyze", "trace", "--trace", "t/trace"],
+     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4, "sample_rate": 0}'}),
+    (["analyze", "trace", "--trace", "t/trace"],
+     {"t/trace.f64": bytes(36),
+      "t/trace.json": b'{"baseline": 0.0, "n_samples": 4.5, "sample_rate": 1e6}'}),
+    (["analyze", "counts", "--light", "light", "--dark", "dark"],
+     {"light/manifest.json": b'{"duration_s": 1.0}'}),
 ], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate",
         "analyze-trace-without-trace", "analyze-counts-without-pairs",
-        "analyze-sweep-without-runs"])
-def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv):
+        "analyze-sweep-without-runs", "sidecar-without-sample-rate",
+        "sidecar-sample-rate-not-a-number", "sidecar-sample-rate-zero",
+        "sidecar-sample-count-not-whole", "manifest-without-source"])
+def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(content)
     cfg = write_cfg(tmp_path, {})
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err

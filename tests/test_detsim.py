@@ -527,6 +527,19 @@ class TestNoiseWorker:
         assert raised == ["third draw failed"]
         assert threading.active_count() == before
 
+    def test_a_render_left_open_at_exit_lets_the_interpreter_exit(self):
+        # The worker is no daemon: the interpreter's exit must end it.
+        script = textwrap.dedent("""
+            from spdsim.detsim import DetectorParams, EventRecord, _render
+            blocks = _render(EventRecord([100.0], [300.0]), DetectorParams(), 300_000, 1e7, seed=1)
+            next(blocks)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(detsim.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
 
 class TestArrayFormsMatchLoops:
     """The array writer and renderer give the bytes of their per-row oracles."""
