@@ -1,8 +1,10 @@
 """Simulation and analysis toolkit for a 1550 nm thin-film single-photon detector.
 
-Subpackages map onto the stages of the physical experiment:
+Its modules follow the stages of the physical experiment, then the
+configuration and the command line that run them:
 
 - `materials`: complex refractive-index tables, including in-plane anisotropy.
+- `device`: the default detector stack built from the bundled tables.
 - `tmm`: transfer-matrix optics of the layered device, absorption sweeps and
   thickness optimization.
 - `source`: weak coherent pulse trains, attenuator/splitter chains, and
@@ -11,11 +13,15 @@ Subpackages map onto the stages of the physical experiment:
   dark counts, dead time, and synthetic output-voltage traces.
 - `analysis`: event recovery from traces, occupation histograms, and
   quantum-efficiency estimators.
+- `config`: the one YAML document that drives every command, validated and
+  turned into the objects above.
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 
 import math
 import os
+from pathlib import Path
+from typing import Any, Callable
 
 __version__ = "0.1.0"
 
@@ -42,3 +48,13 @@ def finite_number(doc: object, path: os.PathLike | str, *keys: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{path}: {'.'.join(keys)} is missing or not a finite number")
     return float(value)
+
+
+def read_text(path: os.PathLike | str, parse: Callable[[str], Any] = str) -> Any:
+    """`parse` of the UTF-8 text of the file at `path`. A ValueError, from a
+    file that is not UTF-8 or from `parse` (`json.loads` on a file that is not
+    JSON), is raised again with the path in front of its message."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -19,6 +19,7 @@ from .source import PowerReading
 
 BASELINE_WINDOW_S = 0.01  # the span of each baseline window of `detect_events`
 _HISTOGRAM_WINDOW = 1 << 16  # samples per read of `occupation_histogram`
+_PROMINENCE_FRACTION = 0.05  # least peak prominence of `occupation_histogram`, per tallest bin
 
 
 def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,19 +146,11 @@ class HistogramResult:
     bin_centers: np.ndarray
     peak_levels_v: np.ndarray  # descending voltage; first entry is the empty-island level
 
-    @property
-    def n_peaks(self) -> int:
-        return int(self.peak_levels_v.size)
 
-    def peak_spacings(self) -> np.ndarray:
-        return -np.diff(self.peak_levels_v)
-
-
-def occupation_histogram(trace: TimeTrace, bin_width_v: float,
-                         prominence_fraction: float = 0.05) -> HistogramResult:
+def occupation_histogram(trace: TimeTrace, bin_width_v: float) -> HistogramResult:
     """Value histogram of the trace with occupation-level peaks.
 
-    Peaks are local maxima whose prominence is at least `prominence_fraction`
+    Peaks are local maxima whose prominence is at least `_PROMINENCE_FRACTION`
     of the tallest bin. Levels are returned in descending voltage, so the first
     one corresponds to the empty island. The trace is read in windows of
     `_HISTOGRAM_WINDOW` samples, twice: for its range, then for the counts,
@@ -185,7 +178,7 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float,
     for window in trace.windows(starts, stops):  # each sample finds its bin alone
         counts += np.histogram(window, bins=edges)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    peaks = _prominent_peaks(counts, prominence_fraction * counts.max())
+    peaks = _prominent_peaks(counts, _PROMINENCE_FRACTION * counts.max())
     levels = centers[peaks]
     order = np.argsort(levels)[::-1]
     return HistogramResult(counts, centers, levels[order])

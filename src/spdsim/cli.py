@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, config as cfgmod, detsim, finite_number, tmm
+from . import __version__, analysis, config as cfgmod, detsim, finite_number, read_text, tmm
 from .source import calibrate_flux
 
 
@@ -204,7 +204,7 @@ def _read_run(run_dir: Path) -> tuple[float, float, float, int]:
     path = Path(run_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"{run_dir}: missing manifest.json (not a simulate run?)")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest = read_text(path, json.loads)
     return (finite_number(manifest, path, "source", "repetition_rate_hz"),
             finite_number(manifest, path, "source", "mean_photons"),
             finite_number(manifest, path, "duration_s"),

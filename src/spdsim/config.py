@@ -19,7 +19,7 @@ from typing import Any
 
 import yaml
 
-from . import analysis, device, materials
+from . import analysis, device, materials, read_text
 from .detsim import DetectorParams
 from .source import Attenuator, CoherentPulseTrain, PowerReading, Splitter
 from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
@@ -113,7 +113,7 @@ def load_config(path: str | Path | None = None,
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            loaded = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
+            loaded = yaml.load(read_text(path), Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         if loaded is not None:

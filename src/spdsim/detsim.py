@@ -41,7 +41,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import check_memory, finite_number
+from . import check_memory, finite_number, read_text
 from .materials import Polarization
 from .source import CoherentPulseTrain
 
@@ -158,18 +158,6 @@ class EventRecord:
         if self.capture_times_us.size == 0:
             return 0
         return 1 + int(np.count_nonzero(np.diff(self.capture_times_us)))
-
-    def occupancy_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(transition times, occupancy after each transition), time-ordered.
-
-        Captures are applied before releases at equal timestamps, so the
-        series is the worst-case instantaneous occupancy.
-        """
-        times = np.concatenate([self.capture_times_us, self.release_times_us])
-        steps = np.concatenate([np.ones(self.n_captures, dtype=int),
-                                -np.ones(self.n_captures, dtype=int)])
-        order = np.lexsort((-steps, times))
-        return times[order], np.cumsum(steps[order])
 
 
 def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
@@ -472,12 +460,16 @@ def write_events_csv(record: EventRecord, path: str | Path) -> None:
     At equal times captures come before releases, and rows of one kind keep
     the record's order. Each row's `,kind,origin\\n` label is picked from a
     table of one label per (kind, origin) pair, and one % call formats
-    every row.
+    every row. An origin with a comma or a line break, which would split its
+    rows, raises before the file is created.
     """
     n = record.n_captures
     origins = record.origins if record.origins is not None else np.full(n, "unknown")
     by_origin, first = _runs(origins)
     names = origins[by_origin[first]].tolist()
+    for name in names:
+        if any(c in name for c in ",\n\r"):
+            raise ValueError(f"{path}: origin {name!r} holds a comma or a line break")
     code = np.empty(n, dtype=np.intp)
     code[by_origin] = np.cumsum(first) - 1
     labels = np.array([f",{kind},{name}\n" for kind in _KINDS for name in names], dtype=object)
@@ -519,7 +511,7 @@ def read_events_csv(path: str | Path) -> EventRecord:
     and skips empty lines. Errors name the file, and the line of the row at
     fault where there is one.
     """
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    header, _, body = read_text(path).partition("\n")
     if header.strip() != _HEADER:
         raise ValueError(f"{path}: not an event CSV (bad header)")
     if not body.strip():
@@ -594,7 +586,7 @@ def read_trace(base_path: str | Path) -> TimeTrace:
     """The trace `write_trace` wrote, its samples mapped and not yet read."""
     base = Path(base_path)
     meta_path = base.with_suffix(".json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = read_text(meta_path, json.loads)
     rate, baseline, n = (finite_number(meta, meta_path, key)
                          for key in ("sample_rate", "baseline", "n_samples"))
     if not (rate > 0 and n == int(n)):

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import read_text
+
 
 class Polarization(str, Enum):
     """Linear polarization relative to the absorber's crystal axes."""
@@ -79,11 +81,9 @@ class MaterialDispersion:
         return float(self.wavelength_nm[0]), float(self.wavelength_nm[-1])
 
     @classmethod
-    def constant(cls, name: str, n: float, k: float = 0.0,
-                 wavelength_range: tuple[float, float] = (200.0, 20000.0)) -> "MaterialDispersion":
-        """Wavelength-independent isotropic material (e.g. air)."""
-        lo, hi = wavelength_range
-        return cls(name, np.array([lo, hi]), np.array([[n, n]]), np.array([[k, k]]),
+    def constant(cls, name: str, n: float, k: float = 0.0) -> "MaterialDispersion":
+        """Wavelength-independent isotropic material (e.g. air), 200-20000 nm."""
+        return cls(name, np.array([200.0, 20000.0]), np.array([[n, n]]), np.array([[k, k]]),
                    header=(f"constant index n={n}, k={k}",))
 
 
@@ -142,7 +142,7 @@ def load_dispersion(source: str | Path | io.TextIOBase, name: str | None = None)
     """
     if isinstance(source, (str, Path)):
         source = Path(source)
-        text = source.read_text(encoding="utf-8")
+        text = read_text(source)
     else:
         text = source.read()
     if name is None:

@@ -113,26 +113,6 @@ def chain_transmittance(stages: tuple[Attenuator | Splitter, ...]) -> float:
     return math.prod((stage.transmittance for stage in stages), start=1.0)
 
 
-def poisson_pmf(n_bar: float, n: int) -> float:
-    """P(n) = exp(-n_bar) n_bar^n / n!, evaluated in log space for stability."""
-    if n_bar < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a nonnegative integer")
-    n = int(n)
-    if n_bar == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(-n_bar + n * math.log(n_bar) - math.lgamma(n + 1))
-
-
-def multi_photon_probability(n_bar: float) -> float:
-    """Probability of a pulse carrying more than one photon: 1 - e^-n (1 + n)."""
-    if n_bar < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    # -expm1 keeps precision for n_bar << 1 where the direct form cancels.
-    return -math.expm1(-n_bar) - n_bar * math.exp(-n_bar)
-
-
 def mean_photons_from_power(mean_power_watts: float, wavelength_nm: float,
                             repetition_rate_hz: float) -> float:
     """Invert P = n_bar h nu f: photons per pulse from average power."""

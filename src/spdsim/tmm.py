@@ -91,10 +91,6 @@ class OpticalResponse:
     def absorptance_total(self) -> float:
         return float(np.sum(self.layer_absorptance))
 
-    @property
-    def conservation_error(self) -> float:
-        return 1.0 - (self.reflectance + self.transmittance + self.absorptance_total)
-
 
 def _layer_terms(material: MaterialDispersion, thickness_nm, wavelength_nm: float,
                  axis: Polarization | str):

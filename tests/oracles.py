@@ -6,6 +6,9 @@ with exp(-iwt) time dependence, and the response is the closed-form geometric
 summation of Fresnel bounce paths (Airy recursion), built from interface
 reflection and transmission amplitudes only. `characteristic_matrix` is the
 per-layer textbook matrix, written out without the package's kernel.
+`poisson_pmf` and `multi_photon_probability` are the closed forms that the
+`_series` sums check, and `occupancy_series` is an event record's occupancy
+after each capture and release.
 `write_events_csv_rows`, `synthesize_trace_loop` and `detect_events_loop` are
 the row-by-row, transition-by-transition and event-by-event forms of the event
 CSV writer, the trace renderer and the event detector; the package's array
@@ -82,6 +85,26 @@ def poisson_pmf_series(n_bar: float, n: int) -> float:
     return p
 
 
+def poisson_pmf(n_bar: float, n: int) -> float:
+    """P(n) = exp(-n_bar) n_bar^n / n!, evaluated in log space for stability."""
+    if n_bar < 0:
+        raise ValueError("mean photon number must be nonnegative")
+    if n < 0 or n != int(n):
+        raise ValueError("photon number must be a nonnegative integer")
+    n = int(n)
+    if n_bar == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(-n_bar + n * math.log(n_bar) - math.lgamma(n + 1))
+
+
+def multi_photon_probability(n_bar: float) -> float:
+    """Probability of a pulse carrying more than one photon: 1 - e^-n (1 + n)."""
+    if n_bar < 0:
+        raise ValueError("mean photon number must be nonnegative")
+    # -expm1 keeps precision for n_bar << 1 where the direct form cancels.
+    return -math.expm1(-n_bar) - n_bar * math.exp(-n_bar)
+
+
 def multi_photon_series(n_bar: float, n_max: int = 200) -> float:
     """P(n >= 2) by direct series summation."""
     return sum(poisson_pmf_series(n_bar, n) for n in range(2, n_max + 1))
@@ -132,6 +155,19 @@ def accept_loop(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
             if dead_time_us > 0:
                 dead_until = t + dead_time_us
     return kept
+
+
+def occupancy_series(record: EventRecord) -> tuple[np.ndarray, np.ndarray]:
+    """(transition times, occupancy after each transition), time-ordered.
+
+    Captures are applied before releases at equal timestamps, so the
+    series is the worst-case instantaneous occupancy.
+    """
+    times = np.concatenate([record.capture_times_us, record.release_times_us])
+    steps = np.concatenate([np.ones(record.n_captures, dtype=int),
+                            -np.ones(record.n_captures, dtype=int)])
+    order = np.lexsort((-steps, times))
+    return times[order], np.cumsum(steps[order])
 
 
 def write_events_csv_rows(record: EventRecord, path: str | Path) -> None:

@@ -18,7 +18,7 @@ from scipy import stats
 from scipy.signal import find_peaks, peak_prominences
 
 from oracles import (detect_events_loop, eligible_edge_events, estimate_baseline_histogram,
-                     match_events)
+                     match_events, occupancy_series)
 from peak_rss import SRC, STATUS
 from spdsim import analysis, detsim
 from spdsim.analysis import (detect_events, edge_times, estimate_baseline,
@@ -352,7 +352,7 @@ class TestOccupationHistogram:
     def test_constant_trace_single_peak(self):
         trace = detsim.TimeTrace(1e6, 0.0, np.full(5000, 0.7))
         hist = occupation_histogram(trace, 0.01)
-        assert hist.n_peaks == 1
+        assert hist.peak_levels_v.size == 1
         assert hist.peak_levels_v[0] == pytest.approx(0.7, abs=0.01)
 
     def test_two_level_trace(self):
@@ -360,8 +360,8 @@ class TestOccupationHistogram:
         record = EventRecord(np.array([100.0]), np.array([400.0]))
         trace = synthesize_trace(record, params, 8e-4, 10e6, seed=0)
         hist = occupation_histogram(trace, 0.02)
-        assert hist.n_peaks == 2
-        assert hist.peak_spacings()[0] == pytest.approx(0.5, abs=0.04)
+        assert hist.peak_levels_v.size == 2
+        assert -np.diff(hist.peak_levels_v)[0] == pytest.approx(0.5, abs=0.04)
 
     def test_simulated_occupancy_three(self):
         params = DetectorParams(dark_rate_hz=30_000.0, hold_time_mean_us=40.0,
@@ -369,12 +369,12 @@ class TestOccupationHistogram:
                                 step_amplitude_v=1.0, noise_sigma_v=0.08)
         src = CoherentPulseTrain(1550.0, 1e3, 0.0)
         record = detsim.simulate(params, src, 0.2, seed=5)
-        _, occupancy = record.occupancy_series()
+        _, occupancy = occupancy_series(record)
         assert occupancy.max() == 3
         trace = synthesize_trace(record, params, 0.2, 20e6, seed=6)
         hist = occupation_histogram(trace, bin_width_v=0.04)
-        assert hist.n_peaks == 4
-        spacings = hist.peak_spacings()
+        assert hist.peak_levels_v.size == 4
+        spacings = -np.diff(hist.peak_levels_v)
         assert (spacings.max() - spacings.min()) / spacings.mean() < 0.10
 
     def test_bin_width_validation(self):
@@ -414,7 +414,7 @@ class TestOccupationHistogram:
             want = occupation_histogram(array, 0.02)
             same = [np.array_equal(getattr(got, k), getattr(want, k))
                     for k in ("counts", "bin_centers", "peak_levels_v")]
-            print(added_kb, all(same), got.n_peaks)
+            print(added_kb, all(same), got.peak_levels_v.size)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))

@@ -793,9 +793,13 @@ class TestCliAnalyze:
 
 
 # A four-sample trace file beside its sidecar, which lacks `sample_rate` or
-# holds a string or zero there; a 36-byte file whose sidecar counts 4.5
-# samples; and a run manifest without its `source` block.
+# holds a string or zero there, is empty or is not UTF-8; a 36-byte file
+# whose sidecar counts 4.5 samples; a run manifest without its `source`
+# block or that is not JSON; and a run's `events.csv` that is not UTF-8.
+# The last file a case writes is the one at fault, and the error starts
+# with its path.
 SAMPLES = {"t/trace.f64": bytes(32)}
+MANIFEST = b'{"duration_s": 1.0, "source": {"repetition_rate_hz": 1e3, "mean_photons": 0.1}}'
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -817,20 +821,49 @@ SAMPLES = {"t/trace.f64": bytes(32)}
       "t/trace.json": b'{"baseline": 0.0, "n_samples": 4.5, "sample_rate": 1e6}'}),
     (["analyze", "counts", "--light", "light", "--dark", "dark"],
      {"light/manifest.json": b'{"duration_s": 1.0}'}),
+    (["analyze", "trace", "--trace", "t/trace"], {**SAMPLES, "t/trace.json": b""}),
+    (["analyze", "trace", "--trace", "t/trace"], {**SAMPLES, "t/trace.json": b"\xff\xfe"}),
+    (["analyze", "counts", "--light", "light", "--dark", "dark"],
+     {"light/manifest.json": b"{"}),
+    (["analyze", "sweep", "--runs", "runs"], {"runs/a/manifest.json": b"{"}),
+    (["analyze", "counts", "--light", "light", "--dark", "dark"],
+     {"light/manifest.json": MANIFEST,
+      "light/events.csv": b"timestamp_us,kind,origin\n1.0000,capture,\xff\n"}),
 ], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate",
         "analyze-trace-without-trace", "analyze-counts-without-pairs",
         "analyze-sweep-without-runs", "sidecar-without-sample-rate",
         "sidecar-sample-rate-not-a-number", "sidecar-sample-rate-zero",
-        "sidecar-sample-count-not-whole", "manifest-without-source"])
+        "sidecar-sample-count-not-whole", "manifest-without-source", "sidecar-empty",
+        "sidecar-not-utf-8", "manifest-not-json", "sweep-manifest-not-json",
+        "events-not-utf-8"])
 def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_bytes(content)
     cfg = write_cfg(tmp_path, {})
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if files:
+        assert err.startswith(f"error: {list(files)[-1]}: "), err
+    assert not (tmp_path / "o").exists()
+
+
+# A config file that is not UTF-8, and a config whose stack names a
+# dispersion file that is not UTF-8: each error names the file.
+@pytest.mark.parametrize("config, named", [
+    (b"run:\n  seed: 1  # \xff\n", "cfg.yaml"),
+    (b"stack:\n  layers:\n  - {material: bad.csv, thickness_nm: 10.0}\n", "bad.csv"),
+], ids=["config-not-utf-8", "dispersion-file-not-utf-8"])
+def test_a_file_that_is_not_utf_8_is_named(tmp_path, capsys, monkeypatch, config, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_bytes(b"# n and k \xff\n1000,1.5,0.0\n2000,1.5,0.0\n")
+    (tmp_path / "cfg.yaml").write_bytes(config)
+    assert run_cli("tmm", "point", "--config", "cfg.yaml", "--out", "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{named}: 'utf-8' codec can't decode byte 0xff" in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -880,7 +913,7 @@ STARTUP_SCRIPT = textwrap.dedent("""
         "--dark", tmp / "dark", "--out", tmp / "ana")
     run("analyze", "sweep", "--config", cfg, "--runs", sweep, "--out", tmp / "ana")
     trace = detsim.read_trace(sweep / "f5000" / "trace")
-    assert analysis.occupation_histogram(trace, 0.05).n_peaks >= 1
+    assert analysis.occupation_histogram(trace, 0.05).peak_levels_v.size >= 1
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     print("scipy modules:", loaded)
     print("lazy modules at import:", lazy)

@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from oracles import (accept_loop, per_pulse_detection_probability, read_events_csv_rows,
-                     synthesize_trace_loop, write_events_csv_rows)
+from oracles import (accept_loop, occupancy_series, per_pulse_detection_probability,
+                     read_events_csv_rows, synthesize_trace_loop, write_events_csv_rows)
 from spdsim import detsim
 from spdsim.detsim import (DetectorParams, EventRecord, read_events_csv, read_trace, simulate,
                            synthesize_trace, write_events_csv, write_trace)
@@ -137,7 +138,7 @@ class TestSimulate:
                                 dead_time_us=0.0, max_occupancy=3)
         record = simulate(params, train(0.0), 20.0, seed=11)
         assert record.n_captures > 500_000  # ledger check over a large record
-        _, occupancy = record.occupancy_series()
+        _, occupancy = occupancy_series(record)
         assert occupancy.min() >= 0
         assert occupancy.max() <= 3
         assert np.all(record.release_times_us > record.capture_times_us)
@@ -145,7 +146,7 @@ class TestSimulate:
     def test_max_occupancy_one_blocks_overlap(self):
         params = ideal_params(hold_time_mean_us=1e4, max_occupancy=1)
         record = simulate(params, train(5.0, f=1e3), 0.1, seed=9)
-        _, occupancy = record.occupancy_series()
+        _, occupancy = occupancy_series(record)
         assert occupancy.max() == 1
 
     def test_dead_time_blocks_candidates(self):
@@ -175,10 +176,10 @@ class TestSimulate:
         # The 50 us default dead time outlasts most 10 us dwells, so the
         # island rarely holds two electrons; without it, it fills up.
         light = train(2.0)
-        _, occupancy = simulate(DetectorParams(), light, 10.0, seed=seed).occupancy_series()
+        _, occupancy = occupancy_series(simulate(DetectorParams(), light, 10.0, seed=seed))
         assert np.count_nonzero(occupancy > 1) / occupancy.size < 1e-3
         open_readout = simulate(DetectorParams(dead_time_us=0.0), light, 10.0, seed=seed)
-        assert open_readout.occupancy_series()[1].max() == DetectorParams().max_occupancy
+        assert occupancy_series(open_readout)[1].max() == DetectorParams().max_occupancy
 
     def test_dark_interarrivals_exponential(self):
         params = DetectorParams(dark_rate_hz=100_000.0, dead_time_us=0.0,
@@ -680,7 +681,7 @@ class TestSynthesizeTrace:
                                 step_amplitude_v=1.0, noise_sigma_v=0.0,
                                 fall_time_us=0.5, rise_time_us=0.5)
         record = simulate(params, train(0.0), 0.05, seed=17)
-        _, occupancy = record.occupancy_series()
+        _, occupancy = occupancy_series(record)
         assert occupancy.max() == 3
         trace = synthesize_trace(record, params, 0.05, 20e6, seed=18)
         settled = np.round(trace.samples, 6)
@@ -735,6 +736,15 @@ class TestFileFormats:
         np.testing.assert_allclose(np.sort(back.release_times_us),
                                    np.sort(record.release_times_us), atol=1e-4)
         assert sorted(back.origins) == sorted(record.origins)
+
+    @pytest.mark.parametrize("origin", ["a,b", "x\ny", "\r"])
+    def test_events_csv_refuses_an_origin_that_would_split_its_row(self, tmp_path, origin):
+        # The reader would refuse the rows, or read "\r" back as an empty origin.
+        path = tmp_path / "events.csv"
+        record = EventRecord(np.array([1.0]), np.array([2.0]), np.array([origin]))
+        with pytest.raises(ValueError, match=f"origin {re.escape(repr(origin))} holds a comma"):
+            write_events_csv(record, path)
+        assert not path.exists()
 
     @settings(max_examples=200, deadline=None)
     @given(event_records(), st.one_of(st.just(0.0), st.floats(0.0, 1e8)))

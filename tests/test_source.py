@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import multi_photon_series, poisson_pmf_series
+from oracles import multi_photon_probability, multi_photon_series, poisson_pmf, poisson_pmf_series
 from spdsim.materials import Polarization
 from spdsim.source import (PLANCK_H, SPEED_OF_LIGHT, Attenuator, CoherentPulseTrain,
                            PowerReading, Splitter, calibrate_flux,
                            chain_transmittance, mean_photons_from_power,
-                           multi_photon_probability, photon_energy_joules, poisson_pmf)
+                           photon_energy_joules)
 
 
 def through(train, chain):
