@@ -4,7 +4,6 @@ Its modules follow the stages of the physical experiment, then the
 configuration and the command line that run them:
 
 - `materials`: complex refractive-index tables, including in-plane anisotropy.
-- `device`: the default detector stack built from the bundled tables.
 - `tmm`: transfer-matrix optics of the layered device, absorption sweeps and
   thickness optimization.
 - `source`: weak coherent pulse trains, attenuator/splitter chains, and
@@ -14,7 +13,7 @@ configuration and the command line that run them:
 - `analysis`: event recovery from traces, occupation histograms, and
   quantum-efficiency estimators.
 - `config`: the one YAML document that drives every command, validated and
-  turned into the objects above.
+  turned into the objects above; its defaults hold the default device stack.
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 

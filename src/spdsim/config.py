@@ -19,7 +19,7 @@ from typing import Any
 
 import yaml
 
-from . import analysis, device, materials, read_text
+from . import analysis, materials, read_text
 from .detsim import DetectorParams
 from .source import Attenuator, CoherentPulseTrain, PowerReading, Splitter
 from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
@@ -29,14 +29,28 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending key path."""
 
 
+DESIGN_WAVELENGTH_NM = 1550.0
+
 DEFAULT_CONFIG: dict[str, Any] = {
+    # The default device, its films listed top to bottom between air and a
+    # semi-infinite Si substrate: black phosphorus between two hBN spacers.
+    # The Au/Ti gate metals double as the back reflector of the
+    # absorption-enhancing cavity; the oxide and substrate below them are kept
+    # even though the opaque metals make their effect negligible. Every
+    # thickness is a float, so the manifest prints it as one.
     "stack": {
         "incident": "air",
         "exit": "si",
-        "layers": [{"material": m, "thickness_nm": t} for m, t in device.DEFAULT_LAYERS],
+        "layers": [{"material": m, "thickness_nm": t} for m, t in (
+            # The spacers are the best cell of the default 2 nm grid of armchair
+            # BP absorptance over 0-400 nm spacers with the bundled tables;
+            # regenerate them with `spdsim tmm map` after any change to the data
+            # files (tests/test_tmm.py pins them).
+            ("hbn", 354.0), ("bp", 25.0), ("mos2", 5.0), ("wse2", 5.0), ("hbn", 82.0),
+            ("au", 40.0), ("ti", 30.0), ("sio2", 285.0))],
     },
     "source": {
-        "wavelength_nm": device.DESIGN_WAVELENGTH_NM,
+        "wavelength_nm": DESIGN_WAVELENGTH_NM,
         "repetition_rate_hz": 10000.0,
         "mean_photons": 0.05,
         "polarization": "unpolarized",
@@ -55,7 +69,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "baseline_window_s": analysis.BASELINE_WINDOW_S,
     },
     "tmm": {
-        "wavelength_nm": device.DESIGN_WAVELENGTH_NM,
+        "wavelength_nm": DESIGN_WAVELENGTH_NM,
         "axis": "armchair",
         "top_range_nm": [0.0, 400.0],
         "bottom_range_nm": [0.0, 400.0],

@@ -16,7 +16,7 @@ import yaml
 from oracles import (bounce_series_rt, match_events, multi_photon_probability,
                      multi_photon_series, occupancy_series, per_pulse_detection_probability,
                      poisson_pmf)
-from spdsim import analysis, cli, detsim, device, materials, tmm
+from spdsim import analysis, cli, config, detsim, materials, tmm
 from spdsim.detsim import DetectorParams, EventRecord
 from spdsim.source import CoherentPulseTrain
 
@@ -79,13 +79,13 @@ def test_criterion_2_fresnel_and_bounce_oracle():
 
 
 def test_criterion_3_interference_structure():
-    stack = device.device_stack()
+    stack = config.build_stack(config.load_config())
     wavelength = 1550.0
 
     # periodicity of A_BP vs bottom hBN thickness at fixed top thickness
     from scipy.signal import find_peaks
     bottoms = np.arange(0.0, 801.0, 1.0)
-    sweep = tmm.absorption_map(stack, [device.DEFAULT_TOP_HBN_NM], bottoms,
+    sweep = tmm.absorption_map(stack, [stack.layers[0].thickness_nm], bottoms,
                                wavelength, "armchair")[0]
     peaks, _ = find_peaks(sweep)
     spacing = float(np.diff(bottoms[peaks]).mean())

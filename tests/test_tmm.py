@@ -7,10 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bounce_series_rt, characteristic_matrix
-from spdsim import device, materials, tmm
+from spdsim import materials, tmm
+from spdsim.config import DEFAULT_CONFIG, build_stack, load_config
 from spdsim.materials import MaterialDispersion, Polarization, index_at
 from spdsim.tmm import (Layer, LayerStack, absorption_map, optimize_thicknesses,
                         stack_response, thickness_grid)
+
+
+# The default spacers, top and bottom hBN
+DEFAULT_TOP_NM, DEFAULT_BOTTOM_NM = (DEFAULT_CONFIG["stack"]["layers"][i]["thickness_nm"]
+                                     for i in (0, 4))
+
+
+def default_stack():
+    return build_stack(load_config())
 
 
 def const(name, n, k=0.0):
@@ -154,7 +164,7 @@ class TestStackResponse:
     def test_matches_characteristic_matrix_product(self, axis):
         # The bundled, anisotropic device stack against the product of the
         # oracle's per-layer matrices: (B, C) = M_1 ... M_n (1, eta_exit).
-        stack = device.device_stack()
+        stack = default_stack()
         product = np.eye(2)
         for layer in stack.layers:
             product = product @ characteristic_matrix(layer, 1550.0, axis)
@@ -177,7 +187,7 @@ class TestStackResponse:
     def test_overflowing_stack_raises_instead_of_inf_or_nan(self, au_nm):
         # Im(delta) of 10 um of Au at 1550 nm is ~435: T comes out -inf and
         # the absorptances below the Au NaN; at 20 um every number is NaN.
-        stack = device.device_stack()
+        stack = default_stack()
         layers = list(stack.layers)
         assert layers[5].material.name == "au"
         layers[5] = replace(layers[5], thickness_nm=au_nm)
@@ -186,12 +196,12 @@ class TestStackResponse:
 
     def test_out_of_range_wavelength_propagates(self):
         with pytest.raises(ValueError, match="outside"):
-            stack_response(device.device_stack(), 900.0)
+            stack_response(default_stack(), 900.0)
 
 
 class TestUnpolarized:
     def test_mean_of_axes(self):
-        stack = device.device_stack()
+        stack = default_stack()
         ac = stack_response(stack, 1550.0, "armchair")
         zz = stack_response(stack, 1550.0, "zigzag")
         unpol = stack_response(stack, 1550.0, "unpolarized")
@@ -211,17 +221,20 @@ class TestUnpolarized:
 
 class TestAbsorptionMap:
     def test_degenerate_grid_single_cell(self):
-        stack = device.device_stack()
+        stack = default_stack()
         grid = absorption_map(stack, [120.0], [60.0], 1550.0, "armchair")
-        direct = stack_response(device.device_stack(120.0, 60.0), 1550.0, "armchair")
+        layers = list(stack.layers)
+        layers[0] = replace(layers[0], thickness_nm=120.0)
+        layers[4] = replace(layers[4], thickness_nm=60.0)
+        direct = stack_response(replace(stack, layers=tuple(layers)), 1550.0, "armchair")
         assert grid.shape == (1, 1)
         assert grid[0, 0] == pytest.approx(direct.layer_absorptance[1], abs=1e-15)
 
     def test_fabry_perot_period(self):
         from scipy.signal import find_peaks
-        stack = device.device_stack()
+        stack = default_stack()
         bottoms = np.arange(0.0, 801.0, 1.0)
-        grid = absorption_map(stack, [device.DEFAULT_TOP_HBN_NM], bottoms, 1550.0, "armchair")
+        grid = absorption_map(stack, [DEFAULT_TOP_NM], bottoms, 1550.0, "armchair")
         peaks, _ = find_peaks(grid[0])
         assert peaks.size >= 2
         spacing = np.diff(bottoms[peaks]).mean()
@@ -230,15 +243,15 @@ class TestAbsorptionMap:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            absorption_map(device.device_stack(), [], [10.0], 1550.0)
+            absorption_map(default_stack(), [], [10.0], 1550.0)
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            absorption_map(device.device_stack(), [10.0, 5.0], [10.0], 1550.0)
+            absorption_map(default_stack(), [10.0, 5.0], [10.0], 1550.0)
 
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            absorption_map(device.device_stack(), [-1.0, 5.0], [10.0], 1550.0)
+            absorption_map(default_stack(), [-1.0, 5.0], [10.0], 1550.0)
 
     @pytest.mark.parametrize("axis", ["armchair", "zigzag", "unpolarized"])
     @pytest.mark.parametrize("anisotropic", [True, False])
@@ -278,9 +291,9 @@ class TestAbsorptionMap:
 
     def test_default_spacers_are_the_default_map_optimum(self):
         grid = thickness_grid(0.0, 400.0, 2.0)
-        a_bp = absorption_map(device.device_stack(), grid, grid, 1550.0, "armchair")
+        a_bp = absorption_map(default_stack(), grid, grid, 1550.0, "armchair")
         a, b = np.unravel_index(int(np.argmax(a_bp)), a_bp.shape)
-        assert (grid[a], grid[b]) == (device.DEFAULT_TOP_HBN_NM, device.DEFAULT_BOTTOM_HBN_NM)
+        assert (grid[a], grid[b]) == (DEFAULT_TOP_NM, DEFAULT_BOTTOM_NM)
 
 
 class TestThicknessGrid:
@@ -301,7 +314,7 @@ class TestThicknessGrid:
 
 class TestOptimize:
     def test_collapsed_bounds_return_that_point(self):
-        stack = device.device_stack()
+        stack = default_stack()
         opt = optimize_thicknesses(stack, (100.0, 100.0), (50.0, 50.0), 1550.0)
         assert opt.top_nm == 100.0 and opt.bottom_nm == 50.0
         direct = absorption_map(stack, [100.0], [50.0], 1550.0)[0, 0]
@@ -323,7 +336,7 @@ class TestOptimize:
         assert opt.bottom_nm == pytest.approx(1550.0 / (4 * n_spacer), abs=1.0)
 
     def test_optimum_dominates_coarse_grid_and_baseline(self):
-        stack = device.device_stack()
+        stack = default_stack()
         tops = np.arange(0.0, 401.0, 8.0)
         bottoms = np.arange(0.0, 401.0, 8.0)
         grid = absorption_map(stack, tops, bottoms, 1550.0, "armchair")
@@ -338,7 +351,7 @@ class TestOptimize:
         # 0.05 nm of its argmax, and is the best of the map's cells that fall on
         # the optimizer's fine lattice (coarse step / 100). At 2 nm that lattice
         # holds the argmax itself.
-        stack = device.device_stack()
+        stack = default_stack()
         for step in (2.0, 4.0, 8.0):
             opt = optimize_thicknesses(stack, (0.0, 400.0), (0.0, 400.0), 1550.0,
                                        coarse_step_nm=step)
@@ -353,18 +366,18 @@ class TestOptimize:
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
-            optimize_thicknesses(device.device_stack(), (10.0, 5.0), (0.0, 10.0), 1550.0)
+            optimize_thicknesses(default_stack(), (10.0, 5.0), (0.0, 10.0), 1550.0)
         with pytest.raises(ValueError):
-            optimize_thicknesses(device.device_stack(), (0.0, np.inf), (0.0, 10.0), 1550.0)
+            optimize_thicknesses(default_stack(), (0.0, np.inf), (0.0, 10.0), 1550.0)
 
 
 class TestDeviceStack:
     def test_layer_order(self):
-        stack = device.device_stack()
+        stack = default_stack()
         names = [lay.material.name for lay in stack.layers]
         assert names == ["hbn", "bp", "mos2", "wse2", "hbn", "au", "ti", "sio2"]
         assert stack.exit.name == "si"
 
     def test_armchair_absorption_near_reported_value(self):
-        resp = stack_response(device.device_stack(), 1550.0, "armchair")
+        resp = stack_response(default_stack(), 1550.0, "armchair")
         assert 0.40 <= resp.layer_absorptance[1] <= 0.65
