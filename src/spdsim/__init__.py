@@ -17,6 +17,7 @@ configuration and the command line that run them:
 - `cli`: command-line entry points gluing the above into reproducible runs.
 """
 
+import json
 import math
 import os
 from pathlib import Path
@@ -57,3 +58,9 @@ def read_text(path: os.PathLike | str, parse: Callable[[str], Any] = str) -> Any
         return parse(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_json(path: os.PathLike | str, doc: Any) -> None:
+    """Write `doc` to `path` as the one JSON output format: UTF-8, keys
+    sorted, indented by 2, with a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -278,6 +278,8 @@ def eqe_from_frequency_sweep(points, n_bar: float, duration_s: float) -> FitResu
     eqe_from_slope = slope / (n_bar * duration). Standard errors follow from
     the residual variance (n - 2 degrees of freedom).
     """
+    if n_bar <= 0 or duration_s <= 0:
+        raise ValueError("n_bar and duration must be positive")
     pts = [(float(f), float(c)) for f, c in points]
     if len({f for f, _ in pts}) < 3:
         raise ValueError("need at least 3 distinct repetition rates")

@@ -25,12 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, config as cfgmod, detsim, finite_number, read_text, tmm
+from . import (__version__, analysis, config as cfgmod, detsim, finite_number, read_text, tmm,
+               write_json)
 from .source import calibrate_flux
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _out_path(args, cfg) -> Path:
@@ -85,7 +82,7 @@ def cmd_tmm(args) -> int:
     if args.tmm_command == "point":
         resp = tmm.stack_response(stack, wavelength, axis)
         out = _out_dir(args, cfg)
-        _write_json(out / "response.json", _response_payload(stack, resp, wavelength, axis))
+        write_json(out / "response.json", _response_payload(stack, resp, wavelength, axis))
         print(f"wrote {out / 'response.json'}")
         return 0
 
@@ -106,7 +103,7 @@ def cmd_tmm(args) -> int:
         (out / "map.csv").write_text("t_top_nm,t_bottom_nm,a_bp\n"
                                      + rows % tuple(grid.ravel().tolist()), encoding="utf-8")
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        _write_json(out / "map_summary.json", {
+        write_json(out / "map_summary.json", {
             "wavelength_nm": wavelength, "axis": axis, "step_nm": step,
             "best": {"t_top_nm": float(tops[i]), "t_bottom_nm": float(bottoms[j]),
                      "a_bp": float(grid[i, j])},
@@ -120,7 +117,7 @@ def cmd_tmm(args) -> int:
         opt = tmm.optimize_thicknesses(stack, top, bottom, wavelength, axis,
                                        coarse_step_nm=step)
         out = _out_dir(args, cfg)
-        _write_json(out / "optimum.json", {
+        write_json(out / "optimum.json", {
             "wavelength_nm": wavelength, "axis": axis,
             "t_top_nm": opt.top_nm, "t_bottom_nm": opt.bottom_nm,
             "a_bp": opt.absorptance,
@@ -139,7 +136,7 @@ def cmd_source(args) -> int:
                             float(cfg["source"]["wavelength_nm"]),
                             float(cfg["source"]["repetition_rate_hz"]))
     out = _out_dir(args, cfg)
-    _write_json(out / "calibration.json", {
+    write_json(out / "calibration.json", {
         "n_bar": result.n_bar,
         "n_bar_sigma": result.n_bar_sigma,
         "power_device_watts": result.power_device_watts,
@@ -170,7 +167,7 @@ def cmd_simulate(args) -> int:
                                     path=out / "trace.f64")  # written block by block
     detsim.write_trace(trace, out / "trace")
 
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "config": cfg,
         "config_sha256": cfgmod.config_hash(cfg),
         "seed": seed,
@@ -242,7 +239,7 @@ def cmd_analyze(args) -> int:
             print(f"warning: edges not timed: {exc}", file=sys.stderr)
         out = _out_dir(args, cfg)
         detsim.write_events_csv(events, out / "detected_events.csv")
-        _write_json(out / "trace_analysis.json", payload)
+        write_json(out / "trace_analysis.json", payload)
         print(f"wrote {out / 'detected_events.csv'}: {events.n_captures} events")
         return 0
 
@@ -285,7 +282,7 @@ def cmd_analyze(args) -> int:
         points = list(zip(rates, counts))
         fit = analysis.eqe_from_frequency_sweep(points, n_bars[0], durations[0])
         out = _out_dir(args, cfg)
-        _write_json(out / "fit.json", {
+        write_json(out / "fit.json", {
             "points": [{"repetition_rate_hz": f, "counts": c} for f, c in points],
             "slope_counts_per_hz": fit.slope,
             "intercept_counts": fit.intercept,

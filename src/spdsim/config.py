@@ -189,8 +189,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
     for rng_key in ("top_range_nm", "bottom_range_nm"):
         rng = cfg["tmm"][rng_key]
         _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))
-                 and 0 <= rng[0] <= rng[1],
-                 f"tmm.{rng_key}", "must be [lo, hi] with 0 <= lo <= hi")
+                 and 0 <= rng[0] <= rng[1] < math.inf,
+                 f"tmm.{rng_key}", "must be [lo, hi] with 0 <= lo <= hi < inf")
 
     _require(cfg["run"]["seed"] >= 0, "run.seed", "must be >= 0")
     _require(isinstance(cfg["run"]["out_dir"], str), "run.out_dir", "must be a path")

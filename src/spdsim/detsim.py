@@ -41,7 +41,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import check_memory, finite_number, read_text
+from . import check_memory, finite_number, read_text, write_json
 from .materials import Polarization
 from .source import CoherentPulseTrain
 
@@ -558,7 +558,10 @@ def read_events_csv(path: str | Path) -> EventRecord:
     origins = origins[cap_rows]
     origins = None if (origins == "unknown").all() else \
         origins.astype(f"U{max(1, int(np.char.str_len(origins).max()))}")
-    return EventRecord(times[cap_rows], release_times[cap_rows], origins)
+    try:
+        return EventRecord(times[cap_rows], release_times[cap_rows], origins)
+    except ValueError as exc:  # rows that parse but break the record's rules
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
@@ -578,7 +581,7 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
                 f.write(np.ascontiguousarray(window, dtype="<f8"))  # a view, when it can be
     meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
             "duration": trace.duration_s, "n_samples": trace.n_samples}
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(meta_path, meta)
     return bin_path, meta_path
 
 

@@ -530,6 +530,12 @@ class TestFrequencySweep:
         with pytest.raises(ValueError):
             eqe_from_frequency_sweep([(1e3, 5), (2e3, 6)], 0.05, 10.0)
 
+    @pytest.mark.parametrize("n_bar, duration", [(0.0, 10.0), (0.05, 0.0)])
+    def test_zero_exposure_rejected(self, n_bar, duration):
+        # shutter-closed runs have n_bar 0: the slope scales to no EQE
+        with pytest.raises(ValueError, match="n_bar and duration must be positive"):
+            eqe_from_frequency_sweep([(5e3, 0), (1e4, 0), (2e4, 0)], n_bar, duration)
+
     def test_residuals_normal_for_linear_model(self):
         rng = np.random.default_rng(33)
         f = np.array([1e3, 2e3, 5e3, 1e4, 2e4])

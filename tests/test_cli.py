@@ -194,6 +194,8 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"tmm": {"top_range_nm": ["a", 1]}},
         {"tmm": {"top_range_nm": [None, 1]}},
+        {"tmm": {"top_range_nm": [0.0, math.inf]}},
+        {"tmm": {"bottom_range_nm": [0.0, math.nan]}},
         {"source": None},
         {"analysis": {"baseline_window_s": "abc"}},
         {"analysis": {"baseline_window_s": -1}},
@@ -795,11 +797,20 @@ class TestCliAnalyze:
 # A four-sample trace file beside its sidecar, which lacks `sample_rate` or
 # holds a string or zero there, is empty or is not UTF-8; a 36-byte file
 # whose sidecar counts 4.5 samples; a run manifest without its `source`
-# block or that is not JSON; and a run's `events.csv` that is not UTF-8.
-# The last file a case writes is the one at fault, and the error starts
-# with its path.
+# block or that is not JSON; a run's `events.csv` that is not UTF-8, or
+# whose rows parse but hold a NaN or negative time, captures out of order or
+# a release before its capture. The last file a case writes is the one at
+# fault, and the error starts with its path. In a sweep of three
+# shutter-closed runs (n_bar 0, no slope to scale) no one file is at fault.
 SAMPLES = {"t/trace.f64": bytes(32)}
 MANIFEST = b'{"duration_s": 1.0, "source": {"repetition_rate_hz": 1e3, "mean_photons": 0.1}}'
+EVENTS = "light/events.csv"
+HEADER = b"timestamp_us,kind,origin\n"
+CLOSED_RUNS = {f"runs/{rate}/{name}": content for rate in ("5e3", "1e4", "2e4")
+               for name, content in [
+                   ("manifest.json", b'{"duration_s": 1.0, "source": {"repetition_rate_hz": %s, '
+                                     b'"mean_photons": 0.0}}' % rate.encode()),
+                   ("events.csv", HEADER)]}
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -827,15 +838,24 @@ MANIFEST = b'{"duration_s": 1.0, "source": {"repetition_rate_hz": 1e3, "mean_pho
      {"light/manifest.json": b"{"}),
     (["analyze", "sweep", "--runs", "runs"], {"runs/a/manifest.json": b"{"}),
     (["analyze", "counts", "--light", "light", "--dark", "dark"],
-     {"light/manifest.json": MANIFEST,
-      "light/events.csv": b"timestamp_us,kind,origin\n1.0000,capture,\xff\n"}),
+     {"light/manifest.json": MANIFEST, EVENTS: HEADER + b"1.0000,capture,\xff\n"}),
+    *((["analyze", "counts", "--light", "light", "--dark", "dark"],
+       {"light/manifest.json": MANIFEST, EVENTS: HEADER + rows}) for rows in [
+        b"nan,capture,photon\n2.0000,release,photon\n",
+        b"-1.0000,capture,photon\n2.0000,release,photon\n",
+        b"5.0000,capture,photon\n1.0000,capture,photon\n6.0000,release,photon\n"
+        b"7.0000,release,photon\n",
+        b"5.0000,capture,photon\n3.0000,release,photon\n"]),
+    (["analyze", "sweep", "--runs", "runs"], CLOSED_RUNS),
 ], ids=["analyze-trace", "analyze-counts", "analyze-sweep", "source-calibrate",
         "analyze-trace-without-trace", "analyze-counts-without-pairs",
         "analyze-sweep-without-runs", "sidecar-without-sample-rate",
         "sidecar-sample-rate-not-a-number", "sidecar-sample-rate-zero",
         "sidecar-sample-count-not-whole", "manifest-without-source", "sidecar-empty",
         "sidecar-not-utf-8", "manifest-not-json", "sweep-manifest-not-json",
-        "events-not-utf-8"])
+        "events-not-utf-8", "events-nan-time", "events-negative-time",
+        "events-captures-out-of-order", "events-release-before-capture",
+        "sweep-of-shutter-closed-runs"])
 def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -845,7 +865,7 @@ def test_bad_input_exits_2_without_output(tmp_path, capsys, monkeypatch, argv, f
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if files:
+    if files and files is not CLOSED_RUNS:
         assert err.startswith(f"error: {list(files)[-1]}: "), err
     assert not (tmp_path / "o").exists()
 
