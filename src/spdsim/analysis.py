@@ -156,7 +156,7 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float) -> HistogramResul
     `_HISTOGRAM_WINDOW` samples, twice: for its range, then for the counts,
     which are those of `np.histogram` of the whole trace on the same edges.
     """
-    if bin_width_v <= 0:
+    if not bin_width_v > 0:
         raise ValueError("bin width must be positive")
     n = trace.n_samples
     if n == 0:
@@ -242,7 +242,7 @@ def estimate_eqe(counts_light: int, counts_dark: int, n_bar: float,
     bound in quadrature. A negative subtraction is reported as-is, flagged
     rather than clamped.
     """
-    if duration_s <= 0 or n_bar <= 0 or repetition_rate_hz <= 0:
+    if not (duration_s > 0 and n_bar > 0 and repetition_rate_hz > 0):
         raise ValueError("duration, n_bar and repetition rate must be positive")
     flux = n_bar * repetition_rate_hz
     exposure = flux * duration_s
@@ -278,7 +278,7 @@ def eqe_from_frequency_sweep(points, n_bar: float, duration_s: float) -> FitResu
     eqe_from_slope = slope / (n_bar * duration). Standard errors follow from
     the residual variance (n - 2 degrees of freedom).
     """
-    if n_bar <= 0 or duration_s <= 0:
+    if not (n_bar > 0 and duration_s > 0):
         raise ValueError("n_bar and duration must be positive")
     pts = [(float(f), float(c)) for f, c in points]
     if len({f for f, _ in pts}) < 3:

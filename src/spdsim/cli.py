@@ -19,11 +19,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
 
+# numpy loads with one OpenBLAS thread: spdsim's one BLAS call is np.polyfit's
+# n x 2 fit in `analysis._ten_ninety`, and each extra worker spins 2**28 cycles
+# (about 0.1 s of CPU) once numpy has loaded.
+_caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+del os.environ["OPENBLAS_NUM_THREADS"]  # and the caller's value is put back
+if _caller_blas is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = _caller_blas
 
 from . import (__version__, analysis, config as cfgmod, detsim, finite_number, read_text, tmm,
                write_json)

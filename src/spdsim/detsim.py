@@ -210,7 +210,7 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     an exponential-dwell release. Raises ValueError, before any draw, when
     the expected candidates at `_CANDIDATE_BYTES` each exceed physical memory.
     """
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise ValueError("duration must be positive")
     f = source.repetition_rate_hz
     n_pulses = source.pulse_count(duration_s)
@@ -255,12 +255,11 @@ class TimeTrace:
     it. `analysis` checks each window it reads finite."""
 
     sample_rate_hz: float
-    baseline_v: float
     samples: np.ndarray
     file: BinaryIO | None = None
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ValueError("sample rate must be positive")
         self.samples = np.asanyarray(self.samples, dtype=float)  # a map stays a map
         if self.file is not None:
@@ -296,19 +295,19 @@ def _create(path: str | Path) -> BinaryIO:
     return open(path, "x+b")
 
 
-def _mapped(file: BinaryIO, sample_rate_hz: float, baseline_v: float) -> TimeTrace:
+def _mapped(file: BinaryIO, sample_rate_hz: float) -> TimeTrace:
     """The trace whose samples fill the open `file`, which it maps and keeps."""
     size = file.seek(0, os.SEEK_END)  # flushes a write; an empty file cannot be mapped
     samples = np.memmap(file, dtype="<f8", mode="r") if size else np.empty(0)
-    return TimeTrace(sample_rate_hz, baseline_v, samples, file)
+    return TimeTrace(sample_rate_hz, samples, file)
 
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
     """Sample count of a `synthesize_trace` trace; raises ValueError, before
-    anything is allocated, for a nonpositive duration or a sample rate too
-    slow for the edges."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    anything is allocated, for a nonpositive duration or sample rate, or a
+    sample rate too slow for the edges."""
+    if not (duration_s > 0 and sample_rate_hz > 0):
+        raise ValueError("duration and sample rate must be positive")
     n = int(round(duration_s * sample_rate_hz))
     for edge in (params.fall_time_us, params.rise_time_us):
         need_hz = 10.0 / (edge * 1e-6) if edge > 0 else 0.0
@@ -426,14 +425,14 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
             blocks.close()  # ends the noise worker before the error leaves
             f.close()
             raise
-        return _mapped(f, sample_rate_hz, params.baseline_v)
+        return _mapped(f, sample_rate_hz)
     check_memory(8 * n, f"trace of {n} samples ({duration_s:g} s at {sample_rate_hz:g} Hz)")
     samples = np.empty(n)
     lo = 0
     for block in blocks:  # to the end, where `_render` ends its noise worker
         samples[lo:lo + block.size] = block
         lo += block.size
-    return TimeTrace(sample_rate_hz, params.baseline_v, samples)
+    return TimeTrace(sample_rate_hz, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +578,8 @@ def write_trace(trace: TimeTrace, base_path: str | Path) -> tuple[Path, Path]:
             for window in trace.windows(starts, np.minimum(starts + _BLOCK_SAMPLES,
                                                            trace.n_samples)):
                 f.write(np.ascontiguousarray(window, dtype="<f8"))  # a view, when it can be
-    meta = {"sample_rate": trace.sample_rate_hz, "baseline": trace.baseline_v,
-            "duration": trace.duration_s, "n_samples": trace.n_samples}
-    write_json(meta_path, meta)
+    write_json(meta_path, {"sample_rate": trace.sample_rate_hz, "duration": trace.duration_s,
+                           "n_samples": trace.n_samples})
     return bin_path, meta_path
 
 
@@ -590,12 +588,11 @@ def read_trace(base_path: str | Path) -> TimeTrace:
     base = Path(base_path)
     meta_path = base.with_suffix(".json")
     meta = read_text(meta_path, json.loads)
-    rate, baseline, n = (finite_number(meta, meta_path, key)
-                         for key in ("sample_rate", "baseline", "n_samples"))
+    rate, n = (finite_number(meta, meta_path, key) for key in ("sample_rate", "n_samples"))
     if not (rate > 0 and n == int(n)):
         raise ValueError(f"{meta_path}: sample_rate must be positive and n_samples whole")
     f = open(base.with_suffix(".f64"), "rb")
     if f.seek(0, os.SEEK_END) != 8 * n:
         f.close()
         raise ValueError(f"{base}: sample count does not match sidecar")
-    return _mapped(f, rate, baseline)
+    return _mapped(f, rate)

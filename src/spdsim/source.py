@@ -27,7 +27,7 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 
 def photon_energy_joules(wavelength_nm: float) -> float:
     """Energy h*c/lambda of a single photon."""
-    if wavelength_nm <= 0:
+    if not wavelength_nm > 0:
         raise ValueError("wavelength must be positive")
     return PLANCK_H * SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
 
@@ -116,7 +116,7 @@ def chain_transmittance(stages: tuple[Attenuator | Splitter, ...]) -> float:
 def mean_photons_from_power(mean_power_watts: float, wavelength_nm: float,
                             repetition_rate_hz: float) -> float:
     """Invert P = n_bar h nu f: photons per pulse from average power."""
-    if mean_power_watts <= 0 or repetition_rate_hz <= 0:
+    if not (mean_power_watts > 0 and repetition_rate_hz > 0):
         raise ValueError("power and repetition rate must be positive")
     return mean_power_watts / (photon_energy_joules(wavelength_nm) * repetition_rate_hz)
 

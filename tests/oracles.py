@@ -260,7 +260,7 @@ def synthesize_trace_loop(events: EventRecord, params, duration_s: float,
 
     if params.noise_sigma_v > 0:
         level += rng.normal(0.0, params.noise_sigma_v, size=n)
-    return TimeTrace(sample_rate_hz, params.baseline_v, level)
+    return TimeTrace(sample_rate_hz, level)
 
 
 def estimate_baseline_histogram(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,5 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import textwrap
 import time
@@ -19,13 +16,13 @@ from scipy.signal import find_peaks, peak_prominences
 
 from oracles import (detect_events_loop, eligible_edge_events, estimate_baseline_histogram,
                      match_events, occupancy_series)
-from peak_rss import SRC, STATUS
-from spdsim import analysis, detsim
+from fresh import STATUS, run_fresh
+from spdsim import analysis, detsim, source
 from spdsim.analysis import (detect_events, edge_times, estimate_baseline,
                              estimate_eqe, eqe_from_frequency_sweep, mean_edge_times,
                              occupation_histogram)
 from spdsim.detsim import DetectorParams, EventRecord, synthesize_trace
-from spdsim.source import CoherentPulseTrain
+from spdsim.source import CoherentPulseTrain, PowerReading
 
 
 def spaced_events(n, spacing_us=150.0, dwell_us=30.0, start_us=50.0):
@@ -68,7 +65,7 @@ def baseline_windows(draw):
         else:
             window = np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
         windows.append(window)
-    return detsim.TimeTrace(1e6, 0.0, np.concatenate(windows)), w / 1e6
+    return detsim.TimeTrace(1e6, np.concatenate(windows)), w / 1e6
 
 
 class TestBaseline:
@@ -77,31 +74,31 @@ class TestBaseline:
         fs = 1e6
         n = 200_000
         drift = np.linspace(0.0, 0.4, n)
-        trace = detsim.TimeTrace(fs, 0.0, drift + rng.normal(0, 0.02, n))
+        trace = detsim.TimeTrace(fs, drift + rng.normal(0, 0.02, n))
         starts, modes = estimate_baseline(trace, window_s=0.01)
         assert starts.tolist() == list(range(0, n, 10_000))
         baseline = np.repeat(modes, np.diff(starts, append=n))
         assert np.max(np.abs(baseline - drift)) < 0.05
 
     def test_short_tail_folds_into_last_window(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(1).normal(size=24_000))
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(1).normal(size=24_000))
         starts, modes = estimate_baseline(trace, window_s=0.01)
         assert starts.tolist() == [0, 10_000]  # the 4000-sample tail joins the second
         assert modes.shape == starts.shape
 
     def test_constant_trace_rejected(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100_000))
+        trace = detsim.TimeTrace(1e6, np.zeros(100_000))
         with pytest.raises(ValueError, match="degenerate"):
             estimate_baseline(trace, window_s=0.01)
 
     def test_constant_trace_too_large_for_101_bins_rejected(self):
         # at 1e16 the widened range (v - 0.5, v + 0.5) rounds back onto v
-        trace = detsim.TimeTrace(1e6, 0.0, np.full(30_000, 1e16))
+        trace = detsim.TimeTrace(1e6, np.full(30_000, 1e16))
         with pytest.raises(ValueError, match="degenerate"):
             estimate_baseline(trace, window_s=0.01)
 
     def test_short_trace_rejected(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(0).normal(size=100))
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=100))
         with pytest.raises(ValueError, match="shorter"):
             estimate_baseline(trace, window_s=0.01)
 
@@ -134,7 +131,7 @@ def threshold_traces(draw):
     if draw(st.booleans()):
         runs.append((-1.0, draw(st.integers(1, 6))))
     samples = np.concatenate([np.full(n, v) for v, n in runs])
-    return detsim.TimeTrace(1e6, 0.0, samples)
+    return detsim.TimeTrace(1e6, samples)
 
 
 class TestDetectEvents:
@@ -165,7 +162,7 @@ class TestDetectEvents:
         # sigma = threshold / 6; min_width kills one-sample chatter
         rng = np.random.default_rng(12)
         fs = 5e6
-        trace = detsim.TimeTrace(fs, 0.0, rng.normal(0.0, 1.0 / 6.0, int(2 * fs)))
+        trace = detsim.TimeTrace(fs, rng.normal(0.0, 1.0 / 6.0, int(2 * fs)))
         found = detect_events(trace, threshold_v=1.0, hysteresis_v=0.4, min_width_us=1.0)
         assert found.n_captures == 0
 
@@ -180,7 +177,7 @@ class TestDetectEvents:
         assert matched / found.n_captures >= 0.999
 
     def test_parameter_ordering_enforced(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.random.default_rng(0).normal(size=20_000))
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=20_000))
         with pytest.raises(ValueError):
             detect_events(trace, threshold_v=0.1, hysteresis_v=0.2, min_width_us=1.0)
 
@@ -283,7 +280,7 @@ class TestMappedTrace:
         samples = rng.normal(0.0, 0.05, 20_000) - rng.integers(0, 2, 20_000)
         starts = np.sort(rng.integers(0, 20_000 - 160, k))
         want = [samples[starts + j].mean() for j in range(160)]
-        array = detsim.TimeTrace(1e7, 0.0, samples)
+        array = detsim.TimeTrace(1e7, samples)
         assert analysis._mean_window(array, starts, 160).tolist() == want
         with tempfile.TemporaryDirectory() as tmp:
             detsim.write_trace(array, Path(tmp) / "trace")
@@ -350,7 +347,7 @@ class TestProminentPeaks:
 
 class TestOccupationHistogram:
     def test_constant_trace_single_peak(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.full(5000, 0.7))
+        trace = detsim.TimeTrace(1e6, np.full(5000, 0.7))
         hist = occupation_histogram(trace, 0.01)
         assert hist.peak_levels_v.size == 1
         assert hist.peak_levels_v[0] == pytest.approx(0.7, abs=0.01)
@@ -378,12 +375,12 @@ class TestOccupationHistogram:
         assert (spacings.max() - spacings.min()) / spacings.mean() < 0.10
 
     def test_bin_width_validation(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.zeros(100))
+        trace = detsim.TimeTrace(1e6, np.zeros(100))
         with pytest.raises(ValueError):
             occupation_histogram(trace, 0.0)
 
     def test_empty_trace_is_named(self):
-        trace = detsim.TimeTrace(1e6, 0.0, np.empty(0))
+        trace = detsim.TimeTrace(1e6, np.empty(0))
         with pytest.raises(ValueError, match="^trace has no samples$"):
             occupation_histogram(trace, 0.01)
 
@@ -394,7 +391,7 @@ class TestOccupationHistogram:
             pytest.skip("VmRSS needs /proc/self/status")
         rng = np.random.default_rng(3)
         samples = rng.normal(0.0, 0.05, 3_000_000) - rng.integers(0, 2, 3_000_000)
-        detsim.write_trace(detsim.TimeTrace(1e7, 0.0, samples), tmp_path / "trace")
+        detsim.write_trace(detsim.TimeTrace(1e7, samples), tmp_path / "trace")
         script = textwrap.dedent("""
             import sys
             import numpy as np
@@ -410,16 +407,13 @@ class TestOccupationHistogram:
             before = rss_kb()
             got = occupation_histogram(trace, 0.02)
             added_kb = rss_kb() - before
-            array = detsim.TimeTrace(1e7, 0.0, np.fromfile(sys.argv[1] + ".f64", dtype="<f8"))
+            array = detsim.TimeTrace(1e7, np.fromfile(sys.argv[1] + ".f64", dtype="<f8"))
             want = occupation_histogram(array, 0.02)
             same = [np.array_equal(getattr(got, k), getattr(want, k))
                     for k in ("counts", "bin_centers", "peak_levels_v")]
             print(added_kb, all(same), got.peak_levels_v.size)
         """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "trace")], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh(script, tmp_path / "trace")
         assert proc.returncode == 0, proc.stderr
         added_kb, same, n_peaks = proc.stdout.split()
         assert (same, n_peaks) == ("True", "2")
@@ -548,6 +542,35 @@ class TestFrequencySweep:
         assert abs(stats.skew(np.array(standardized))) < 0.5
 
 
+# Each positive input, set to NaN, which a guard written `x <= 0` lets pass.
+NAN = math.nan
+SWEEP = [(5e3, 10), (1e4, 20), (2e4, 41)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_eqe(100, 50, NAN, 1e4, 10.0),
+    lambda: estimate_eqe(100, 50, 0.05, NAN, 10.0),
+    lambda: estimate_eqe(100, 50, 0.05, 1e4, NAN),
+    lambda: eqe_from_frequency_sweep(SWEEP, NAN, 1.0),
+    lambda: eqe_from_frequency_sweep(SWEEP, 0.05, NAN),
+    lambda: source.photon_energy_joules(NAN),
+    lambda: source.mean_photons_from_power(NAN, 1550.0, 1e4),
+    lambda: source.mean_photons_from_power(1e-9, 1550.0, NAN),
+    lambda: source.calibrate_flux(PowerReading(1e-9), 0.5, (), NAN, 1e4),
+    lambda: source.calibrate_flux(PowerReading(1e-9), 0.5, (), 1550.0, NAN),
+    lambda: detsim.TimeTrace(NAN, np.zeros(4)),
+    lambda: occupation_histogram(detsim.TimeTrace(1e6, np.zeros(4)), NAN),
+    lambda: detsim.check_trace(DetectorParams(), NAN, 1e7),
+    lambda: detsim.check_trace(DetectorParams(), 1.0, NAN),
+], ids=["eqe-n_bar", "eqe-rate", "eqe-duration", "sweep-n_bar", "sweep-duration",
+        "photon-energy", "photons-from-power", "photons-from-power-rate",
+        "calibrate-wavelength", "calibrate-rate", "trace-rate", "histogram-bin-width",
+        "trace-duration", "trace-sample-rate"])
+def test_nan_input_raises(call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
+
+
 class TestEdgeTimes:
     def test_exponential_identity(self):
         # 10-90% of a single exponential is tau ln 9
@@ -584,7 +607,7 @@ class TestEdgeTimes:
         assert rise == pytest.approx(2.1, rel=0.05)
 
     def test_event_order_validated(self):
-        trace = detsim.TimeTrace(50e6, 0.0, np.zeros(1000) + 0.0)
+        trace = detsim.TimeTrace(50e6, np.zeros(1000) + 0.0)
         with pytest.raises(ValueError):
             edge_times(trace, 10.0, 5.0)
 
@@ -651,7 +674,7 @@ def edge_records(draw):
     rate = draw(st.sampled_from([1e6, 2.5e6, 1e7]))
     end_us = max(latest, 20.0) + draw(st.sampled_from([0.0, 11.5, 12.0, 12.5, 30.0]))
     n = max(1, round(end_us * rate / 1e6) + draw(st.integers(-2, 2)))
-    return detsim.TimeTrace(rate, 0.0, np.zeros(n)), EventRecord(caps[1:], rels)
+    return detsim.TimeTrace(rate, np.zeros(n)), EventRecord(caps[1:], rels)
 
 
 class TestEdgeEligibility:

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import shutil
-import subprocess
 import sys
 import textwrap
 import warnings
@@ -19,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peak_rss import command_peak_mb
+from fresh import command_peak_mb, run_fresh
 from spdsim import analysis, cli, config as cfgmod, detsim, tmm
 from spdsim.config import (DEFAULT_CONFIG, ConfigError, build_chain, build_detector, build_source,
                            build_stack, load_config)
@@ -822,14 +821,14 @@ CLOSED_RUNS = {f"runs/{rate}/{name}": content for rate in ("5e3", "1e4", "2e4")
     (["analyze", "counts"], {}),
     (["analyze", "sweep"], {}),
     (["analyze", "trace", "--trace", "t/trace"],
-     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4}'}),
+     {**SAMPLES, "t/trace.json": b'{"n_samples": 4}'}),
     (["analyze", "trace", "--trace", "t/trace"],
-     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4, "sample_rate": "fast"}'}),
+     {**SAMPLES, "t/trace.json": b'{"n_samples": 4, "sample_rate": "fast"}'}),
     (["analyze", "trace", "--trace", "t/trace"],
-     {**SAMPLES, "t/trace.json": b'{"baseline": 0.0, "n_samples": 4, "sample_rate": 0}'}),
+     {**SAMPLES, "t/trace.json": b'{"n_samples": 4, "sample_rate": 0}'}),
     (["analyze", "trace", "--trace", "t/trace"],
      {"t/trace.f64": bytes(36),
-      "t/trace.json": b'{"baseline": 0.0, "n_samples": 4.5, "sample_rate": 1e6}'}),
+      "t/trace.json": b'{"n_samples": 4.5, "sample_rate": 1e6}'}),
     (["analyze", "counts", "--light", "light", "--dark", "dark"],
      {"light/manifest.json": b'{"duration_s": 1.0}'}),
     (["analyze", "trace", "--trace", "t/trace"], {**SAMPLES, "t/trace.json": b""}),
@@ -955,16 +954,28 @@ SIMULATE_SCRIPT = textwrap.dedent("""
 """)
 
 
-def run_fresh(script, *argv):
-    """Runs `script` in a fresh interpreter that imports this checkout's spdsim."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+# The CLI loads numpy with one OpenBLAS thread, whatever the caller set, and
+# leaves the caller's setting as it found it.
+BLAS_SCRIPT = textwrap.dedent("""
+    import os
+    import spdsim.cli
+    print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+""")
 
 
 class TestStartup:
+    @pytest.mark.parametrize("caller", ["4", None])
+    def test_numpy_loads_with_one_blas_thread(self, monkeypatch, caller):
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("counting threads needs /proc/self/task")
+        if caller is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+        proc = run_fresh(BLAS_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", str(caller)]
+
     def test_simulate_does_not_import_numpy_ma(self):
         proc = run_fresh(SIMULATE_SCRIPT)
         assert proc.returncode == 0, proc.stderr

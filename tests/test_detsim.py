@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import gc
 import io
+import json
 import math
 import os
 import re
@@ -382,7 +383,7 @@ class TestStreamedTrace:
         trace = synthesize_trace(EventRecord([100.0], [300.0]), DetectorParams(), 2e-3, 1e7,
                                  seed=1, path=tmp_path / "trace.f64")
         want = np.array(trace.samples[:10])
-        copy = dataclasses.replace(trace, baseline_v=0.1)
+        copy = dataclasses.replace(trace, sample_rate_hz=2e7)
         del trace
         gc.collect()
         assert np.array_equal(next(copy.windows(np.array([0]), np.array([10]))), want)
@@ -401,7 +402,7 @@ class TestStreamedTrace:
         if not Path("/proc/self/status").exists():
             pytest.skip("VmRSS needs /proc/self/status")
         samples = np.random.default_rng(4).normal(0.0, 0.05, 1 << 22)
-        write_trace(detsim.TimeTrace(1e7, 0.0, samples), tmp_path / "trace")
+        write_trace(detsim.TimeTrace(1e7, samples), tmp_path / "trace")
         del samples
         script = textwrap.dedent("""
             import sys
@@ -426,7 +427,7 @@ class TestStreamedTrace:
         assert int(proc.stdout) < 5 * 1024
 
     def test_read_trace_maps_and_windows_read(self, tmp_path):
-        trace = detsim.TimeTrace(1e6, 0.0, np.arange(50.0))
+        trace = detsim.TimeTrace(1e6, np.arange(50.0))
         write_trace(trace, tmp_path / "trace")
         back = read_trace(tmp_path / "trace")
         assert isinstance(back.samples, np.memmap)
@@ -773,14 +774,14 @@ class TestFileFormats:
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 64),
                       elements=st.floats(allow_nan=False, allow_infinity=False)),
-           st.floats(1e-3, 1e12), st.floats(allow_nan=False, allow_infinity=False))
-    def test_trace_round_trip_property(self, samples, sample_rate_hz, baseline_v):
-        trace = detsim.TimeTrace(sample_rate_hz, baseline_v, samples)
+           st.floats(1e-3, 1e12))
+    def test_trace_round_trip_property(self, samples, sample_rate_hz):
+        trace = detsim.TimeTrace(sample_rate_hz, samples)
         with tempfile.TemporaryDirectory() as tmp:
             write_trace(trace, Path(tmp) / "trace")
             back = read_trace(Path(tmp) / "trace")
         assert back.samples.tobytes() == trace.samples.tobytes()
-        assert (back.sample_rate_hz, back.baseline_v) == (sample_rate_hz, baseline_v)
+        assert back.sample_rate_hz == sample_rate_hz
 
     @settings(max_examples=300, deadline=None)
     @given(event_records(names=("photon", "dark", "unknown", "", "background_light")),
@@ -862,11 +863,18 @@ class TestFileFormats:
         back = read_trace(tmp_path / "trace")
         assert np.array_equal(back.samples, trace.samples)
         assert back.sample_rate_hz == trace.sample_rate_hz
-        assert back.baseline_v == trace.baseline_v
+
+    def test_sidecar_with_the_old_baseline_key_reads(self, tmp_path):
+        _, meta_path = write_trace(detsim.TimeTrace(1e6, np.arange(10.0)), tmp_path / "trace")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta_path.write_text(json.dumps({**meta, "baseline": 0.0}), encoding="utf-8")
+        back = read_trace(tmp_path / "trace")
+        assert np.array_equal(back.samples, np.arange(10.0))
+        assert back.sample_rate_hz == 1e6
 
     @pytest.mark.parametrize("n_bytes", [72, 83])  # a sample short; a partial sample over
     def test_trace_size_checked_against_sidecar(self, tmp_path, n_bytes):
-        bin_path, _ = write_trace(detsim.TimeTrace(1e6, 0.0, np.zeros(10)), tmp_path / "trace")
+        bin_path, _ = write_trace(detsim.TimeTrace(1e6, np.zeros(10)), tmp_path / "trace")
         with bin_path.open("r+b") as f:
             f.truncate(n_bytes)
         with pytest.raises(ValueError, match="sidecar"):

@@ -12,11 +12,13 @@ These pin the bytes of every file a CLI command writes:
   on three repetition rates: `counting.csv` and `fit.json`.
 
 `manifest.json` embeds the numpy and Python versions, so it is digested as
-canonical JSON without its `versions` block. "Behaviour unchanged" is thus
-checked rather than asserted. Update a digest only for a deliberate output
-change, and record that change with a line in CHANGES.md. The digests were
-recorded with numpy 2.4; another numpy release may draw a different random
-stream or round a float differently.
+canonical JSON without its `versions` block. The commands run in one fresh
+interpreter, as the console script does, so numpy loads as the CLI loads it
+(with one BLAS thread), not as the test run loaded it. "Behaviour unchanged"
+is thus checked rather than asserted. Update a digest only for a deliberate
+output change, and record that change with a line in CHANGES.md. The digests
+were recorded with numpy 2.4; another numpy release may draw a different
+random stream or round a float differently.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ import json
 import pytest
 import yaml
 
-from spdsim import cli
+from fresh import run_fresh
 
 SIMULATE_CONFIG = {
     "source": {"mean_photons": 0.5, "repetition_rate_hz": 20000.0},
@@ -36,6 +38,13 @@ SIMULATE_CONFIG = {
 CALIBRATION = {"power_tap_watts": 1.28e-9, "tap_fraction": 0.5,
                "post_tap_chain": [{"attenuator": 1e-7}, {"splitter_tap": 0.1}]}
 SWEEP_RATES_HZ = (10000.0, 20000.0, 40000.0)
+# Runs each command of the JSON list in argv[1], in order.
+PROGRAM = """
+import json, sys
+from spdsim.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
 
 GOLDEN = {
     "events.csv": "0fd25328f4476d56ee033ef68d915b3eec09dfec41c8d55e2b0f937e9b7a81bd",
@@ -73,8 +82,10 @@ def outputs(tmp_path_factory):
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         return str(path)
 
+    commands = []
+
     def run(*argv):
-        assert cli.main([str(a) for a in argv]) == 0, argv
+        commands.append([str(a) for a in argv])
 
     cfg = config("cfg", SIMULATE_CONFIG)
     run("simulate", "--config", cfg, "--out", tmp / "sim")
@@ -97,6 +108,8 @@ def outputs(tmp_path_factory):
         "--light", tmp / "sweep" / "f0", "--dark", tmp / "dark" / "f0",
         "--light", tmp / "sweep" / "f1", "--dark", tmp / "dark" / "f1", "--out", tmp / "counts")
     run("analyze", "sweep", "--config", cfg, "--runs", tmp / "sweep", "--out", tmp / "fit")
+    proc = run_fresh(PROGRAM, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
     dirs = {"events.csv": "sim", "trace.f64": "sim", "trace.json": "sim", "manifest.json": "sim",
             "detected_events.csv": "ana", "trace_analysis.json": "ana",
             "response.json": "tmm", "map.csv": "tmm", "map_summary.json": "tmm",
