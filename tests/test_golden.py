@@ -49,7 +49,7 @@ for argv in json.loads(sys.argv[1]):
 GOLDEN = {
     "events.csv": "0fd25328f4476d56ee033ef68d915b3eec09dfec41c8d55e2b0f937e9b7a81bd",
     "trace.f64": "9c5b604c70510a6cc0704391af1478e5e060211012e6530a997f9d4727c851b4",
-    "trace.json": "1af2422f67e502ecee842ffc148abe6a641519ee533e90b0b018f0348d622820",
+    "trace.json": "f8db257effa8a10de8faf9b94b9eb4320c13f703c88f737a39b938fcce1ef9a5",
     "manifest.json": "fd7c539a1a1578ecb8922088324e88fcfeea9d9172934706a83e877e2519a56d",
     "response.json": "2126622aaeb7a807194e5cb1d5e67ab5b27134fcb9f01cfdf91e67a90dffec63",
     "detected_events.csv": "5cb628248943fd4cdf8342412048463e73175fafa59fd5fe795d086cbc05a9a9",
