@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import check_memory
 from .detsim import LN9, EventRecord, TimeTrace
 from .source import PowerReading
 
@@ -155,6 +156,8 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float) -> HistogramResul
     one corresponds to the empty island. The trace is read in windows of
     `_HISTOGRAM_WINDOW` samples, twice: for its range, then for the counts,
     which are those of `np.histogram` of the whole trace on the same edges.
+    A bin width whose bins would not fit in physical memory raises ValueError
+    before the bins are allocated.
     """
     if not bin_width_v > 0:
         raise ValueError("bin width must be positive")
@@ -172,6 +175,11 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float) -> HistogramResul
     if hi - lo < bin_width_v:
         value = 0.5 * (lo + hi)
         return HistogramResult(np.array([n]), np.array([value]), np.array([value]))
+    # The memory peak is the max and min tables of `_prominent_peaks`: 8 bytes
+    # per bin in each of log2(bins) + 1 levels.
+    bins = (hi - lo) / bin_width_v + 4
+    check_memory(16 * bins * (math.log2(bins) + 1),
+                 f"bin width {bin_width_v:g} V gives {bins:.4g} histogram bins")
     # Pad the range so occupation levels at the extremes are interior maxima.
     edges = np.arange(lo - 2 * bin_width_v, hi + 3 * bin_width_v, bin_width_v)
     counts = np.zeros(edges.size - 1, dtype=np.intp)

@@ -72,7 +72,9 @@ class DetectorParams:
     `detector.absorptance_from_stack` uses those instead. `dead_time_us` and
     `hold_time_mean_us` are fitted, not measured, quantities: the defaults
     reproduce the observed ~20 kHz count-rate saturation and the
-    microsecond-scale pulse widths of the output traces. These defaults are
+    microsecond-scale pulse widths of the output traces. `step_amplitude_v`,
+    the drop of the output per occupied trap, is positive, because
+    `analysis.detect_events` finds downward pulses only. These defaults are
     also the config defaults.
     """
 
@@ -99,9 +101,11 @@ class DetectorParams:
             v = getattr(self, name)
             if not v >= 0:  # written so that NaN fails
                 raise ValueError(f"{name} must be nonnegative, got {v}")
-        for name in ("step_amplitude_v", "baseline_v"):
-            if not math.isfinite(v := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {v}")
+        if not 0 < self.step_amplitude_v < math.inf:  # written so that NaN fails
+            raise ValueError(
+                f"step_amplitude_v must be positive and finite, got {self.step_amplitude_v}")
+        if not math.isfinite(self.baseline_v):
+            raise ValueError(f"baseline_v must be finite, got {self.baseline_v}")
         if not self.max_occupancy >= 1:
             raise ValueError(f"max_occupancy must be at least 1, got {self.max_occupancy}")
 
@@ -506,9 +510,9 @@ def read_events_csv(path: str | Path) -> EventRecord:
     The 3-column format stores no pair ids, so each release is matched FIFO
     to the oldest open capture of the same origin: the k-th release row of an
     origin closes its k-th capture row. Event times and origins round-trip
-    exactly, individual dwell pairings may not. `np.loadtxt` parses the rows
-    and skips empty lines. Errors name the file, and the line of the row at
-    fault where there is one.
+    exactly, individual dwell pairings may not. The file is read once:
+    `np.loadtxt` parses the lines after the header and skips empty ones.
+    Errors name the file, and the line of the row at fault where there is one.
     """
     header, _, body = read_text(path).partition("\n")
     if header.strip() != _HEADER:
@@ -518,8 +522,7 @@ def read_events_csv(path: str | Path) -> EventRecord:
     width = 8  # a kind longer than 7 characters stays unequal to both kinds
     while True:
         try:
-            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=1,
-                              encoding="utf-8",
+            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=1,
                               dtype=[("t", "f8"), ("k", "U8"), ("o", f"U{width}")])
         except ValueError as exc:
             row = _malformed_row(body)

@@ -151,7 +151,10 @@ def stack_response(stack: LayerStack, wavelength_nm: float,
 
 
 def thickness_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo, lo + step, ... then hi itself; a step point within rounding of hi is dropped."""
+    """lo, lo + step, ... then hi itself; a step point within rounding of hi is
+    dropped. A step that is not positive and finite raises ValueError."""
+    if not 0 < step < np.inf:  # written so that NaN fails
+        raise ValueError(f"thickness grid step must be positive and finite, got {step}")
     pts = np.arange(lo, hi, step)
     return np.append(pts[hi - pts > 1e-9 * step], hi)
 
@@ -186,15 +189,16 @@ def locate_sweep_layers(stack: LayerStack) -> tuple[int, int, int]:
 
 def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thicknesses_nm,
                    wavelength_nm: float, axis: Polarization | str = Polarization.ARMCHAIR,
-                   sweep_layers: tuple[int, int, int] | None = None,
                    conservation_error: np.ndarray | None = None) -> np.ndarray:
-    """Absorber absorptance over a (top hBN, bottom hBN) thickness grid.
+    """Absorber absorptance over a (top hBN, bottom hBN) thickness grid of the
+    layers `locate_sweep_layers` finds.
 
     Returns an array of shape (len(top), len(bottom)); rows follow the top
     grid, columns the bottom grid. If `conservation_error` is an array of
     that shape, it receives |1 - R - T - sum(A)| of every cell. A grid that
     `check_map` finds too large for physical memory raises ValueError.
     """
+    i_top, i_bottom, i_abs = locate_sweep_layers(stack_template)
     axis = Polarization(axis)
     tops = np.asarray(top_thicknesses_nm, dtype=float)
     bottoms = np.asarray(bottom_thicknesses_nm, dtype=float)
@@ -206,7 +210,6 @@ def absorption_map(stack_template: LayerStack, top_thicknesses_nm, bottom_thickn
         if grid[0] < 0:
             raise ValueError(f"{label} thickness grid: negative thickness")
     check_map(tops.size, bottoms.size)
-    i_top, i_bottom, i_abs = sweep_layers or locate_sweep_layers(stack_template)
 
     thicknesses = [lay.thickness_nm for lay in stack_template.layers]
     thicknesses[i_top], thicknesses[i_bottom] = tops[:, None], bottoms[None, :]
@@ -228,8 +231,7 @@ def optimize_thicknesses(stack_template: LayerStack,
                          bottom_bounds_nm: tuple[float, float],
                          wavelength_nm: float,
                          axis: Polarization | str = Polarization.ARMCHAIR,
-                         coarse_step_nm: float = STEP_NM,
-                         sweep_layers: tuple[int, int, int] | None = None) -> ThicknessOptimum:
+                         coarse_step_nm: float = STEP_NM) -> ThicknessOptimum:
     """Maximize absorber absorptance over the two spacer thicknesses.
 
     A map at `coarse_step_nm` over the bounds, then a map at a hundredth of
@@ -240,11 +242,10 @@ def optimize_thicknesses(stack_template: LayerStack,
     for lo, hi in (top_bounds_nm, bottom_bounds_nm):
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < lo:
             raise ValueError("bounds must be finite, nonnegative and ordered")
-    sweep_layers = sweep_layers or locate_sweep_layers(stack_template)
     bounds = (top_bounds_nm, bottom_bounds_nm)
 
     def best_cell(grids) -> ThicknessOptimum:
-        values = absorption_map(stack_template, *grids, wavelength_nm, axis, sweep_layers)
+        values = absorption_map(stack_template, *grids, wavelength_nm, axis)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         return ThicknessOptimum(float(grids[0][i]), float(grids[1][j]), float(values[i, j]))
 

@@ -379,6 +379,14 @@ class TestOccupationHistogram:
         with pytest.raises(ValueError):
             occupation_histogram(trace, 0.0)
 
+    def test_bins_beyond_memory_name_the_width(self):
+        # ~7 V of samples in 1e-13 V bins: ~7e13 bins, which no machine holds
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(0.0, 1.0, 1000))
+        with pytest.raises(ValueError,
+                           match=r"^bin width 1e-13 V gives 6\.965e\+13 histogram bins, "
+                                 r"which need .* bytes; this machine has \d+ bytes$"):
+            occupation_histogram(trace, 1e-13)
+
     def test_empty_trace_is_named(self):
         trace = detsim.TimeTrace(1e6, np.empty(0))
         with pytest.raises(ValueError, match="^trace has no samples$"):

@@ -750,6 +750,15 @@ class TestCliAnalyze:
         assert err.count("\n") == 1
         assert not (tmp_path / "ana").exists()
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["analyze", "trace", "--trace", "t/trace"]])
+    def test_upward_step_exits_2_naming_the_key(self, tmp_path, capsys, argv):
+        # detect_events finds downward pulses only: a -1 V step gave 0 events and exit 0
+        cfg = write_cfg(tmp_path, {"detector": {"step_amplitude_v": -1.0}})
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "error: detector.step_amplitude_v must be positive and finite, got -1.0\n")
+        assert not (tmp_path / "o").exists()
+
     def test_trace_with_no_events_reports_none(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "detector": {"dark_rate_hz": 0.0, "noise_sigma_v": 0.02},

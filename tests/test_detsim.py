@@ -65,6 +65,13 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             DetectorParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("step", [-1.0, 0.0, math.inf])
+    def test_step_amplitude_is_positive_and_finite(self, step):
+        # detect_events finds downward pulses only: a step up would go unseen
+        with pytest.raises(ValueError,
+                           match=f"^step_amplitude_v must be positive and finite, got {step}$"):
+            DetectorParams(step_amplitude_v=step)
+
     def test_polarized_absorptance(self):
         p = DetectorParams(absorptance_armchair=0.5, absorptance_zigzag=0.01)
         assert p.absorptance("armchair") == pytest.approx(0.5)

@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 
@@ -257,17 +258,18 @@ class TestAbsorptionMap:
     @pytest.mark.parametrize("anisotropic", [True, False])
     def test_matches_per_cell_stack_response(self, axis, anisotropic):
         rng = np.random.default_rng(7)
-        absorber = materials.bundled("bp") if anisotropic else const("abs", 3.2, 0.8)
+        absorber = materials.bundled("bp") if anisotropic else const("bp", 3.2, 0.8)
         for _ in range(4):
             specs = [(rng.uniform(1, 4), rng.uniform(0, 0.5), rng.uniform(0, 300))
                      for _ in range(3)]
-            layers = [Layer(const(f"m{i}", n, k), d) for i, (n, k, d) in enumerate(specs)]
+            # the spacers are the first and last hbn layers, the absorber the bp one
+            layers = [Layer(const(name, n, k), d)
+                      for name, (n, k, d) in zip(("hbn", "m1", "hbn"), specs)]
             layers.insert(1, Layer(absorber, rng.uniform(1, 30)))
             stack = LayerStack(layers=tuple(layers),
                                exit=const("exit", rng.uniform(1, 4), rng.uniform(0, 1)))
-            sweep = (0, 3, 1)  # explicit: no layer is named hbn
             tops, bottoms = rng.uniform(0, 400, 5).cumsum(), rng.uniform(0, 200, 4).cumsum()
-            grid = absorption_map(stack, tops, bottoms, 1550.0, axis, sweep_layers=sweep)
+            grid = absorption_map(stack, tops, bottoms, 1550.0, axis)
             for a, t_top in enumerate(tops):
                 for b, t_bottom in enumerate(bottoms):
                     cell = replace(stack, layers=(replace(layers[0], thickness_nm=t_top),
@@ -279,14 +281,17 @@ class TestAbsorptionMap:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(1.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 500.0)),
                     min_size=2, max_size=6),
-           st.floats(1.0, 4.0), st.floats(0.0, 1.0),
+           st.floats(1.0, 4.0), st.floats(0.0, 1.0), st.floats(0.0, 30.0),
            st.lists(st.floats(0.0, 500.0), min_size=1, max_size=5, unique=True),
            st.lists(st.floats(0.0, 500.0), min_size=1, max_size=5, unique=True))
-    def test_energy_conservation_property(self, specs, n_exit, k_exit, tops, bottoms):
-        stack = simple_stack(specs, n_exit, k_exit)
+    def test_energy_conservation_property(self, specs, n_exit, k_exit, bp_nm, tops, bottoms):
+        # the first and last layers are the hbn spacers, a bp absorber sits below the top one
+        names = ["hbn", *(f"m{i}" for i in range(1, len(specs) - 1)), "hbn"]
+        layers = [Layer(const(name, n, k), d) for name, (n, k, d) in zip(names, specs)]
+        layers.insert(1, Layer(materials.bundled("bp"), bp_nm))
+        stack = LayerStack(layers=tuple(layers), exit=const("exit", n_exit, k_exit))
         error = np.empty((len(tops), len(bottoms)))
-        absorption_map(stack, sorted(tops), sorted(bottoms), 1550.0,
-                       sweep_layers=(0, len(specs) - 1, 0), conservation_error=error)
+        absorption_map(stack, sorted(tops), sorted(bottoms), 1550.0, conservation_error=error)
         assert error.max() < 1e-9
 
     def test_default_spacers_are_the_default_map_optimum(self):
@@ -311,8 +316,31 @@ class TestThicknessGrid:
         np.testing.assert_array_equal(thickness_grid(5.0, 5.0, 2.0), [5.0])
         np.testing.assert_array_equal(thickness_grid(0.0, 1.0, 5.0), [0.0, 1.0])
 
+    @pytest.mark.parametrize("step", [0.0, -2.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError,
+                           match=f"^thickness grid step must be positive and finite, got {step}$"):
+            thickness_grid(0.0, 400.0, step)
+
 
 class TestOptimize:
+    @pytest.mark.parametrize("step", [-2.0, 0.0, math.nan])
+    def test_coarse_step_must_be_positive_and_finite(self, step):
+        # a -2 nm step used to return (400, 400) nm with A_BP 0.26, not the 0.53 optimum
+        with pytest.raises(ValueError, match="^thickness grid step must be positive"):
+            optimize_thicknesses(default_stack(), (0, 400), (0, 400), 1550.0,
+                                 coarse_step_nm=step)
+
+    @pytest.mark.parametrize("names, message", [
+        (("m0", "bp", "m2"), "^no layer with material 'hbn' in stack$"),
+        (("hbn", "bp", "m2"), "^stack needs distinct top and bottom hBN layers to sweep$")])
+    def test_stack_without_two_hbn_spacers_is_refused(self, names, message):
+        stack = LayerStack(layers=tuple(Layer(const(name, 2.0, 0.1), 50.0) for name in names))
+        for run in (lambda: absorption_map(stack, [10.0], [20.0], 1550.0),
+                    lambda: optimize_thicknesses(stack, (0, 400), (0, 400), 1550.0)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_collapsed_bounds_return_that_point(self):
         stack = default_stack()
         opt = optimize_thicknesses(stack, (100.0, 100.0), (50.0, 50.0), 1550.0)
@@ -326,13 +354,12 @@ class TestOptimize:
         # optimal spacer is lambda / (4 n_spacer).
         n_spacer = 2.0
         stack = LayerStack(
-            layers=(Layer(const("top", 1.0), 0.0),
+            layers=(Layer(const("hbn", 1.0), 0.0),
                     Layer(materials.bundled("bp"), 0.1),
-                    Layer(const("hbn_like", n_spacer), 100.0)),
+                    Layer(const("hbn", n_spacer), 100.0)),
             exit=const("mirror", 1e6))
         opt = optimize_thicknesses(stack, (0.0, 0.0), (60.0, 350.0), 1550.0,
-                                   axis="armchair", coarse_step_nm=2.0,
-                                   sweep_layers=(0, 2, 1))
+                                   axis="armchair", coarse_step_nm=2.0)
         assert opt.bottom_nm == pytest.approx(1550.0 / (4 * n_spacer), abs=1.0)
 
     def test_optimum_dominates_coarse_grid_and_baseline(self):
