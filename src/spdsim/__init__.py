@@ -38,6 +38,20 @@ def check_memory(need_bytes: float, what: str) -> None:
                          f"this machine has {memory} bytes")
 
 
+def check_positive(**values: float) -> None:
+    """Raise ValueError, naming the first of `values` not positive and finite (as NaN is not)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_nonnegative(**values: float) -> None:
+    """Raise ValueError, naming the first of `values` not nonnegative and finite (as NaN is not)."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def finite_number(doc: object, path: os.PathLike | str, *keys: str) -> float:
     """`doc[keys[0]][keys[1]]...` of the JSON document read from `path`, as a
     float; raise ValueError, naming the file and the key, when it is missing
@@ -61,6 +75,11 @@ def read_text(path: os.PathLike | str, parse: Callable[[str], Any] = str) -> Any
 
 
 def write_json(path: os.PathLike | str, doc: Any) -> None:
-    """Write `doc` to `path` as the one JSON output format: UTF-8, keys
-    sorted, indented by 2, with a final newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write `doc` to `path` as the one JSON output format: UTF-8, keys sorted,
+    indented by 2, with a final newline; a NaN or an infinity, which JSON
+    cannot hold, raises ValueError naming the file before it is written."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check_memory
+from . import check_memory, check_nonnegative, check_positive
 from .detsim import LN9, EventRecord, TimeTrace
 from .source import PowerReading
 
@@ -30,16 +30,17 @@ def estimate_baseline(trace: TimeTrace, window_s: float) -> tuple[np.ndarray, np
     of the trace; a tail shorter than half a window is folded into the
     window before it. The mode tracks the quiescent level even when a
     sizeable fraction of the window sits at depressed occupancy levels. Slow
-    drift is followed at the window granularity. Raises for constant traces
-    and traces shorter than one window.
+    drift is followed at the window granularity. Raises for constant traces,
+    traces shorter than one window, and a window not finite or under 8 samples.
 
     The mode is that of `np.histogram(window, bins=101)`, bin for bin, binned
     in one window-sized scratch that the call allocates once.
     """
     n = trace.n_samples
-    w = int(round(window_s * trace.sample_rate_hz))
-    if w < 8:
-        raise ValueError("baseline window must span at least 8 samples")
+    w = window_s * trace.sample_rate_hz
+    if not 7.5 <= w < math.inf:  # round(w) >= 8; written so that NaN fails
+        raise ValueError(f"window_s must be finite and span at least 8 samples, got {window_s}")
+    w = round(w)
     if n < w:
         raise ValueError(f"trace ({n} samples) shorter than baseline window ({w})")
 
@@ -102,8 +103,7 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     Thresholding runs one baseline window at a time, in one relative-voltage
     buffer and one mask allocated at the largest window's size.
     """
-    if not (threshold_v > hysteresis_v > 0):
-        raise ValueError("need threshold > hysteresis > 0")
+    check_detection(threshold_v, hysteresis_v, min_width_us, baseline_window_s)
     starts, modes = estimate_baseline(trace, baseline_window_s)
     stops = np.append(starts[1:], trace.n_samples)
 
@@ -134,6 +134,17 @@ def detect_events(trace: TimeTrace, threshold_v: float, hysteresis_v: float,
     return EventRecord(d[wide] * dt_us, u[wide] * dt_us, origins=None)
 
 
+def check_detection(threshold_v: float, hysteresis_v: float, min_width_us: float,
+                    baseline_window_s: float) -> None:
+    """The rules of `detect_events`, apart from its work: raise ValueError,
+    naming the parameter, unless threshold_v > hysteresis_v > 0,
+    min_width_us >= 0 and baseline_window_s > 0, each finite."""
+    check_positive(hysteresis_v=hysteresis_v, baseline_window_s=baseline_window_s)
+    check_nonnegative(min_width_us=min_width_us)
+    if not hysteresis_v < threshold_v < math.inf:
+        raise ValueError(f"threshold_v must be finite and exceed hysteresis_v, got {threshold_v}")
+
+
 def _turns_true(mask: np.ndarray, before: bool) -> np.ndarray:
     """Indices where `mask` turns true; 0 among them when it starts true after
     a false `before`, the value that precedes it."""
@@ -159,8 +170,7 @@ def occupation_histogram(trace: TimeTrace, bin_width_v: float) -> HistogramResul
     A bin width whose bins would not fit in physical memory raises ValueError
     before the bins are allocated.
     """
-    if not bin_width_v > 0:
-        raise ValueError("bin width must be positive")
+    check_positive(bin_width_v=bin_width_v)
     n = trace.n_samples
     if n == 0:
         raise ValueError("trace has no samples")
@@ -250,8 +260,7 @@ def estimate_eqe(counts_light: int, counts_dark: int, n_bar: float,
     bound in quadrature. A negative subtraction is reported as-is, flagged
     rather than clamped.
     """
-    if not (duration_s > 0 and n_bar > 0 and repetition_rate_hz > 0):
-        raise ValueError("duration, n_bar and repetition rate must be positive")
+    check_positive(duration_s=duration_s, n_bar=n_bar, repetition_rate_hz=repetition_rate_hz)
     flux = n_bar * repetition_rate_hz
     exposure = flux * duration_s
     diff = counts_light - counts_dark
@@ -286,8 +295,7 @@ def eqe_from_frequency_sweep(points, n_bar: float, duration_s: float) -> FitResu
     eqe_from_slope = slope / (n_bar * duration). Standard errors follow from
     the residual variance (n - 2 degrees of freedom).
     """
-    if not (n_bar > 0 and duration_s > 0):
-        raise ValueError("n_bar and duration must be positive")
+    check_positive(n_bar=n_bar, duration_s=duration_s)
     pts = [(float(f), float(c)) for f, c in points]
     if len({f for f, _ in pts}) < 3:
         raise ValueError("need at least 3 distinct repetition rates")

@@ -224,7 +224,6 @@ def _equal(values) -> bool:
 
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    ana = cfg["analysis"]
     # Each analysis reads and computes before `_out_dir`, so bad input leaves
     # no directory behind.
 
@@ -232,10 +231,7 @@ def cmd_analyze(args) -> int:
         if args.trace is None:
             raise ValueError("analyze trace: --trace BASE is required")
         trace = detsim.read_trace(Path(args.trace))
-        events = analysis.detect_events(trace, float(ana["threshold_v"]),
-                                        float(ana["hysteresis_v"]),
-                                        float(ana["min_width_us"]),
-                                        float(ana["baseline_window_s"]))
+        events = analysis.detect_events(trace, **cfg["analysis"])
         payload = {"n_events": events.n_captures,
                    "duration_s": trace.duration_s,
                    "rate_hz": events.n_captures / trace.duration_s}

@@ -19,10 +19,10 @@ from typing import Any
 
 import yaml
 
-from . import analysis, materials, read_text
+from . import analysis, check_positive, materials, read_text
 from .detsim import DetectorParams
-from .source import Attenuator, CoherentPulseTrain, PowerReading, Splitter
-from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, stack_response
+from .source import Attenuator, CoherentPulseTrain, PowerReading, Splitter, check_tap_fraction
+from .tmm import STEP_NM, Layer, LayerStack, absorber_layer, check_grid, stack_response
 
 
 class ConfigError(ValueError):
@@ -175,32 +175,31 @@ def validate_config(cfg: dict[str, Any]) -> None:
     del det["absorptance_from_stack"]
     _construct("detector", lambda: DetectorParams(**det))
 
-    for path in ("analysis.threshold_v", "analysis.hysteresis_v", "analysis.baseline_window_s",
-                 "tmm.wavelength_nm", "tmm.step_nm",
-                 "run.duration_s", "run.sample_rate_hz", "run.trace_duration_s"):
-        block, key = path.split(".")
-        _require(0 < cfg[block][key] < math.inf, path, "must be positive and finite")
-    _require(cfg["analysis"]["threshold_v"] > cfg["analysis"]["hysteresis_v"],
-             "analysis.threshold_v", "must exceed analysis.hysteresis_v")
-    _require(cfg["analysis"]["min_width_us"] >= 0.0, "analysis.min_width_us", "must be >= 0.0")
+    _construct("analysis", lambda: analysis.check_detection(**cfg["analysis"]))
 
-    _require(cfg["tmm"]["axis"] in list(materials.Polarization), "tmm.axis",
+    optics = cfg["tmm"]
+    _construct("tmm", lambda: check_positive(wavelength_nm=optics["wavelength_nm"]))
+    _require(optics["axis"] in list(materials.Polarization), "tmm.axis",
              "must be one of " + ", ".join(materials.Polarization))
-    for rng_key in ("top_range_nm", "bottom_range_nm"):
-        rng = cfg["tmm"][rng_key]
-        _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))
-                 and 0 <= rng[0] <= rng[1] < math.inf,
-                 f"tmm.{rng_key}", "must be [lo, hi] with 0 <= lo <= hi < inf")
+    ranges = {key: optics[key] for key in ("top_range_nm", "bottom_range_nm")}
+    for key, rng in ranges.items():
+        _require(isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng)),
+                 f"tmm.{key}", "must be a list [lo, hi] of two numbers")
+    _construct("tmm", lambda: check_grid(optics["step_nm"], **ranges))
 
-    _require(cfg["run"]["seed"] >= 0, "run.seed", "must be >= 0")
-    _require(isinstance(cfg["run"]["out_dir"], str), "run.out_dir", "must be a path")
+    run = cfg["run"]
+    # `simulate` and `check_trace` hold these to the same rule
+    _construct("run", lambda: check_positive(**{key: run[key] for key in (
+        "duration_s", "trace_duration_s", "sample_rate_hz")}))
+    _require(run["seed"] >= 0, "run.seed", "must be >= 0")
+    _require(isinstance(run["out_dir"], str), "run.out_dir", "must be a path")
 
     cal = cfg["calibration"]
     _require(cal["power_tap_watts"] is None or _is_number(cal["power_tap_watts"]),
              "calibration.power_tap_watts", f"expected a number, got {cal['power_tap_watts']!r}")
     _construct("calibration",
                lambda: PowerReading(cal["power_tap_watts"] or 0.0, cal["relative_uncertainty"]))
-    _require(0.0 < cal["tap_fraction"] < 1.0, "calibration.tap_fraction", "must be in (0, 1)")
+    _construct("calibration", lambda: check_tap_fraction(cal["tap_fraction"]))
     _require(isinstance(cal["post_tap_chain"], list), "calibration.post_tap_chain",
              "must be a list of stages")
     build_chain(cal["post_tap_chain"])

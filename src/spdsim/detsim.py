@@ -41,7 +41,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import check_memory, finite_number, read_text, write_json
+from . import (check_memory, check_nonnegative, check_positive, finite_number, read_text,
+               write_json)
 from .materials import Polarization
 from .source import CoherentPulseTrain
 
@@ -96,14 +97,10 @@ class DetectorParams:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be within [0, 1], got {v}")
-        for name in ("dark_rate_hz", "fall_time_us", "rise_time_us",
-                     "hold_time_mean_us", "dead_time_us", "noise_sigma_v"):
-            v = getattr(self, name)
-            if not v >= 0:  # written so that NaN fails
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-        if not 0 < self.step_amplitude_v < math.inf:  # written so that NaN fails
-            raise ValueError(
-                f"step_amplitude_v must be positive and finite, got {self.step_amplitude_v}")
+        check_nonnegative(**{name: getattr(self, name) for name in (
+            "dark_rate_hz", "fall_time_us", "rise_time_us", "hold_time_mean_us", "dead_time_us",
+            "noise_sigma_v")})
+        check_positive(step_amplitude_v=self.step_amplitude_v)
         if not math.isfinite(self.baseline_v):
             raise ValueError(f"baseline_v must be finite, got {self.baseline_v}")
         if not self.max_occupancy >= 1:
@@ -214,8 +211,7 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     an exponential-dwell release. Raises ValueError, before any draw, when
     the expected candidates at `_CANDIDATE_BYTES` each exceed physical memory.
     """
-    if not duration_s > 0:
-        raise ValueError("duration must be positive")
+    check_positive(duration_s=duration_s)
     f = source.repetition_rate_hz
     n_pulses = source.pulse_count(duration_s)
     mu = source.mean_photons * params.absorptance(source.polarization) * params.iqe
@@ -263,8 +259,7 @@ class TimeTrace:
     file: BinaryIO | None = None
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample rate must be positive")
+        check_positive(sample_rate_hz=self.sample_rate_hz)
         self.samples = np.asanyarray(self.samples, dtype=float)  # a map stays a map
         if self.file is not None:
             weakref.finalize(self.samples, self.file.close)
@@ -308,10 +303,9 @@ def _mapped(file: BinaryIO, sample_rate_hz: float) -> TimeTrace:
 
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
     """Sample count of a `synthesize_trace` trace; raises ValueError, before
-    anything is allocated, for a nonpositive duration or sample rate, or a
-    sample rate too slow for the edges."""
-    if not (duration_s > 0 and sample_rate_hz > 0):
-        raise ValueError("duration and sample rate must be positive")
+    anything is allocated, for a duration or sample rate that is not positive
+    and finite, or a sample rate too slow for the edges."""
+    check_positive(duration_s=duration_s, sample_rate_hz=sample_rate_hz)
     n = int(round(duration_s * sample_rate_hz))
     for edge in (params.fall_time_us, params.rise_time_us):
         need_hz = 10.0 / (edge * 1e-6) if edge > 0 else 0.0

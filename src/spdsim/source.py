@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import check_nonnegative, check_positive
 from .materials import Polarization
 
 # CODATA: h is exact in SI since 2019; c is exact by definition.
@@ -27,8 +28,7 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 
 def photon_energy_joules(wavelength_nm: float) -> float:
     """Energy h*c/lambda of a single photon."""
-    if not wavelength_nm > 0:
-        raise ValueError("wavelength must be positive")
+    check_positive(wavelength_nm=wavelength_nm)
     return PLANCK_H * SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
 
 
@@ -47,12 +47,9 @@ class CoherentPulseTrain:
     polarization: Polarization | float = Polarization.UNPOLARIZED
 
     def __post_init__(self):
-        for name in ("wavelength_nm", "repetition_rate_hz"):
-            v = getattr(self, name)
-            if not v > 0:  # written so that NaN fails
-                raise ValueError(f"{name} must be positive, got {v}")
-        if not self.mean_photons >= 0:
-            raise ValueError(f"mean_photons must be nonnegative, got {self.mean_photons}")
+        check_positive(wavelength_nm=self.wavelength_nm,
+                       repetition_rate_hz=self.repetition_rate_hz)
+        check_nonnegative(mean_photons=self.mean_photons)
         pol = self.polarization
         if pol in list(Polarization):
             object.__setattr__(self, "polarization", Polarization(pol))
@@ -76,10 +73,8 @@ class PowerReading:
     relative_uncertainty: float = 0.05
 
     def __post_init__(self):
-        for name in ("mean_power_watts", "relative_uncertainty"):
-            v = getattr(self, name)
-            if not v >= 0:  # written so that NaN fails
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+        check_nonnegative(mean_power_watts=self.mean_power_watts,
+                          relative_uncertainty=self.relative_uncertainty)
 
 
 @dataclass(frozen=True)
@@ -116,9 +111,15 @@ def chain_transmittance(stages: tuple[Attenuator | Splitter, ...]) -> float:
 def mean_photons_from_power(mean_power_watts: float, wavelength_nm: float,
                             repetition_rate_hz: float) -> float:
     """Invert P = n_bar h nu f: photons per pulse from average power."""
-    if not (mean_power_watts > 0 and repetition_rate_hz > 0):
-        raise ValueError("power and repetition rate must be positive")
+    check_positive(mean_power_watts=mean_power_watts, repetition_rate_hz=repetition_rate_hz)
     return mean_power_watts / (photon_energy_joules(wavelength_nm) * repetition_rate_hz)
+
+
+def check_tap_fraction(tap_fraction: float) -> None:
+    """`calibrate_flux`'s rule: the splitter sends light both ways, so its tap
+    fraction is in (0, 1); written so that NaN fails."""
+    if not 0.0 < tap_fraction < 1.0:
+        raise ValueError(f"tap_fraction must be in (0, 1), got {tap_fraction}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ def calibrate_flux(reading: PowerReading, tap_fraction: float,
     device. The meter's relative uncertainty maps multiplicatively onto
     n_bar.
     """
-    if not (0.0 < tap_fraction < 1.0):
-        raise ValueError("tap fraction must be in (0, 1)")
+    check_tap_fraction(tap_fraction)
     chain_factor = chain_transmittance(post_tap_chain)
     power_device = reading.mean_power_watts * (1.0 - tap_fraction) / tap_fraction * chain_factor
     n_bar = mean_photons_from_power(power_device, wavelength_nm, repetition_rate_hz)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check_memory
+from . import check_memory, check_positive
 from .materials import AIR, MaterialDispersion, Polarization, index_at
 
 STEP_NM = 2.0  # the spacer grid step of a thickness map, and optimize's coarse step
@@ -150,13 +150,22 @@ def stack_response(stack: LayerStack, wavelength_nm: float,
     return OpticalResponse(float(r), float(t), np.array(a, dtype=float))
 
 
-def thickness_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo, lo + step, ... then hi itself; a step point within rounding of hi is
-    dropped. A step that is not positive and finite raises ValueError."""
-    if not 0 < step < np.inf:  # written so that NaN fails
-        raise ValueError(f"thickness grid step must be positive and finite, got {step}")
-    pts = np.arange(lo, hi, step)
-    return np.append(pts[hi - pts > 1e-9 * step], hi)
+def thickness_grid(lo: float, hi: float, step_nm: float) -> np.ndarray:
+    """lo, lo + step_nm, ... then hi itself; a step point within rounding of
+    hi is dropped. Raises ValueError by `check_grid`'s rule."""
+    check_grid(step_nm, range_nm=(lo, hi))
+    pts = np.arange(lo, hi, step_nm)
+    return np.append(pts[hi - pts > 1e-9 * step_nm], hi)
+
+
+def check_grid(step_nm: float, **ranges_nm: tuple[float, float]) -> None:
+    """The rule of `thickness_grid`, apart from its work: raise ValueError,
+    naming the parameter, unless `step_nm` is positive and finite and each
+    (lo, hi) of `ranges_nm` has 0 <= lo <= hi < inf; NaN fails."""
+    check_positive(step_nm=step_nm)
+    for name, (lo, hi) in ranges_nm.items():
+        if not 0 <= lo <= hi < np.inf:
+            raise ValueError(f"{name} must be [lo, hi] with 0 <= lo <= hi < inf, got [{lo}, {hi}]")
 
 
 def check_map(n_top: int, n_bottom: int) -> None:
@@ -239,9 +248,6 @@ def optimize_thicknesses(stack_template: LayerStack,
     bounds. The result is the finer map's best cell, never below the best
     coarse cell.
     """
-    for lo, hi in (top_bounds_nm, bottom_bounds_nm):
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < lo:
-            raise ValueError("bounds must be finite, nonnegative and ordered")
     bounds = (top_bounds_nm, bottom_bounds_nm)
 
     def best_cell(grids) -> ThicknessOptimum:

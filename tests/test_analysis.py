@@ -102,6 +102,18 @@ class TestBaseline:
         with pytest.raises(ValueError, match="shorter"):
             estimate_baseline(trace, window_s=0.01)
 
+    @pytest.mark.parametrize("window_s", [math.inf, math.nan, -0.01, 0.0, 7.4e-6])
+    def test_window_must_be_finite_and_span_8_samples(self, window_s):
+        # inf used to raise OverflowError, NaN "cannot convert float NaN to integer"
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=20_000))
+        with pytest.raises(ValueError, match=f"^window_s must be finite and span at least 8 "
+                                             f"samples, got {window_s}$"):
+            estimate_baseline(trace, window_s)
+
+    def test_window_of_7_5_samples_rounds_to_8(self):
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=80))
+        assert estimate_baseline(trace, 7.5e-6)[0].tolist() == list(range(0, 80, 8))
+
     @settings(max_examples=400, deadline=None)
     @given(baseline_windows())
     def test_matches_np_histogram(self, case):
@@ -180,6 +192,26 @@ class TestDetectEvents:
         trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=20_000))
         with pytest.raises(ValueError):
             detect_events(trace, threshold_v=0.1, hysteresis_v=0.2, min_width_us=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("threshold_v", math.inf), ("threshold_v", math.nan), ("threshold_v", -0.5),
+        ("threshold_v", 0.1),  # below the hysteresis
+        ("hysteresis_v", math.inf), ("hysteresis_v", math.nan), ("hysteresis_v", -0.2),
+        ("hysteresis_v", 0.0),
+        ("min_width_us", math.inf), ("min_width_us", math.nan), ("min_width_us", -1.0),
+        ("baseline_window_s", math.inf), ("baseline_window_s", math.nan),
+        ("baseline_window_s", -0.01), ("baseline_window_s", 0.0)])
+    def test_check_detection_names_the_parameter(self, name, value):
+        # detect_events(trace, inf, 0.2, 1.0) used to return no events and no error
+        args = {"threshold_v": 0.5, "hysteresis_v": 0.2, "min_width_us": 1.0,
+                "baseline_window_s": 0.01, name: value}
+        trace = detsim.TimeTrace(1e6, np.random.default_rng(0).normal(size=20_000))
+        for check in (analysis.check_detection, lambda **kw: detect_events(trace, **kw)):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                check(**args)
+
+    def test_check_detection_passes_the_defaults(self):
+        analysis.check_detection(0.5, 0.2, 0.0, analysis.BASELINE_WINDOW_S)
 
 
 def traced_peak(fn, *args):
@@ -535,7 +567,8 @@ class TestFrequencySweep:
     @pytest.mark.parametrize("n_bar, duration", [(0.0, 10.0), (0.05, 0.0)])
     def test_zero_exposure_rejected(self, n_bar, duration):
         # shutter-closed runs have n_bar 0: the slope scales to no EQE
-        with pytest.raises(ValueError, match="n_bar and duration must be positive"):
+        with pytest.raises(ValueError,
+                           match=r"^(n_bar|duration_s) must be positive and finite, got 0.0$"):
             eqe_from_frequency_sweep([(5e3, 0), (1e4, 0), (2e4, 0)], n_bar, duration)
 
     def test_residuals_normal_for_linear_model(self):

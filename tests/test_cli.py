@@ -284,6 +284,43 @@ class TestConfig:
                 pass
 
 
+# Each rule that moved out of `validate_config` into the function owning its
+# value (`analysis.check_detection`, `tmm.check_grid`, `check_positive` as
+# `simulate` and `check_trace` apply it, `source.check_tap_fraction`), with the
+# values that function refuses.
+MOVED_RULE_FAULTS = [
+    ("analysis", "threshold_v", math.inf), ("analysis", "threshold_v", math.nan),
+    ("analysis", "threshold_v", 0.1), ("analysis", "hysteresis_v", -0.2),
+    ("analysis", "hysteresis_v", math.nan), ("analysis", "min_width_us", -1.0),
+    ("analysis", "min_width_us", math.nan), ("analysis", "min_width_us", math.inf),
+    ("analysis", "baseline_window_s", math.inf), ("analysis", "baseline_window_s", 0.0),
+    ("tmm", "step_nm", 0.0), ("tmm", "step_nm", math.inf), ("tmm", "step_nm", math.nan),
+    ("tmm", "top_range_nm", [400.0, 0.0]), ("tmm", "top_range_nm", [-1.0, 400.0]),
+    ("tmm", "bottom_range_nm", [0.0, math.inf]), ("tmm", "bottom_range_nm", [math.nan, 1.0]),
+    ("run", "duration_s", math.inf), ("run", "duration_s", -1.0),
+    ("run", "trace_duration_s", math.nan), ("run", "trace_duration_s", 0.0),
+    ("run", "sample_rate_hz", math.inf), ("run", "sample_rate_hz", -1e7),
+    ("calibration", "tap_fraction", 1.0), ("calibration", "tap_fraction", math.nan),
+    ("calibration", "tap_fraction", math.inf)]
+
+
+class TestMovedRules:
+    @pytest.mark.parametrize("block, key, value", MOVED_RULE_FAULTS)
+    @pytest.mark.parametrize("argv", [("tmm", "point"), ("simulate",)])
+    def test_refused_at_load_naming_the_key(self, tmp_path, capsys, argv, block, key, value):
+        cfg = write_cfg(tmp_path, {block: {key: value}})
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {block}.{key} must be ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_sample_rate_against_the_edges_is_a_simulate_rule(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"run": {"sample_rate_hz": 1e3}})
+        assert run_cli("tmm", "point", "--config", cfg, "--out", tmp_path / "t") == 0
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "s") == 2
+        assert capsys.readouterr().err.startswith("error: sample rate 1000 Hz too low")
+
+
 def simulate_cfg(tmp_path, **run_overrides):
     run = {"duration_s": 0.5, "seed": 99, "sample_rate_hz": 1e7,
            "trace_duration_s": 0.02, "out_dir": str(tmp_path / "default_out")}
@@ -439,6 +476,21 @@ class TestCliSource:
             assert run_cli("source", "calibrate", "--config", cfg, "--out", out) == 0
             written.append((out / "calibration.json").read_bytes())
         assert written[0] == written[1]
+
+    def test_infinite_tap_power_exits_2_without_output(self, tmp_path, capsys):
+        # calibration.json used to get "n_bar": Infinity, which is not JSON
+        cfg = write_cfg(tmp_path, {"calibration": {"power_tap_watts": math.inf}})
+        assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
+        assert capsys.readouterr().err == (
+            "error: calibration.mean_power_watts must be nonnegative and finite, got inf\n")
+        assert not (tmp_path / "c").exists()
+
+    def test_n_bar_beyond_a_float_is_not_written(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"calibration": {"power_tap_watts": 1e308}})
+        assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'c' / 'calibration.json'}: Out of range float")
+        assert err.count("\n") == 1 and not (tmp_path / "c" / "calibration.json").exists()
 
     def test_polarizer_stage_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"calibration": {

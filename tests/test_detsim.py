@@ -65,6 +65,15 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             DetectorParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectorParams)
+                                      if f.name != "max_occupancy"])
+    def test_infinity_rejected(self, name):
+        # dead_time_us: .inf used to give 1 detection in 0.5 s, and an infinite
+        # repetition or dark rate an OverflowError or a memory error
+        for value in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+                DetectorParams(**{name: value})
+
     @pytest.mark.parametrize("step", [-1.0, 0.0, math.inf])
     def test_step_amplitude_is_positive_and_finite(self, step):
         # detect_events finds downward pulses only: a step up would go unseen
@@ -201,6 +210,13 @@ class TestSimulate:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             simulate(ideal_params(), train(0.1), 0.0, seed=1)
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan, -1.0])
+    def test_duration_must_be_positive_and_finite(self, duration_s):
+        # an infinite duration used to raise OverflowError
+        with pytest.raises(ValueError,
+                           match=f"^duration_s must be positive and finite, got {duration_s}$"):
+            simulate(ideal_params(), train(0.1), duration_s, seed=1)
 
     def test_captures_per_pulse_stay_poisson_after_chain(self):
         # Thinning a Poisson photon number by a chain, the absorptance and
@@ -675,6 +691,14 @@ class TestSynthesizeTrace:
         with pytest.raises(ValueError, match=r"1000000000000000 samples .* bytes"):
             synthesize_trace(EventRecord(np.array([]), np.array([])), DetectorParams(),
                              1.0, 1e15, seed=0)
+
+    @pytest.mark.parametrize("name, duration_s, sample_rate_hz", [
+        ("duration_s", math.inf, 1e7), ("duration_s", math.nan, 1e7), ("duration_s", 0.0, 1e7),
+        ("sample_rate_hz", 0.02, math.inf), ("sample_rate_hz", 0.02, -1e7)])
+    def test_check_trace_names_the_parameter(self, name, duration_s, sample_rate_hz):
+        # check_trace(params, inf, 1e7) used to raise OverflowError
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            detsim.check_trace(DetectorParams(), duration_s, sample_rate_hz)
 
     def test_length_matches_duration(self):
         params = DetectorParams()

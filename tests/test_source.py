@@ -7,7 +7,7 @@ from oracles import multi_photon_probability, multi_photon_series, poisson_pmf, 
 from spdsim.materials import Polarization
 from spdsim.source import (PLANCK_H, SPEED_OF_LIGHT, Attenuator, CoherentPulseTrain,
                            PowerReading, Splitter, calibrate_flux,
-                           chain_transmittance, mean_photons_from_power,
+                           chain_transmittance, check_tap_fraction, mean_photons_from_power,
                            photon_energy_joules)
 
 
@@ -148,6 +148,13 @@ class TestRangeRules:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             CoherentPulseTrain(**{**values, field: math.nan})
 
+    @pytest.mark.parametrize("field", ["wavelength_nm", "repetition_rate_hz", "mean_photons"])
+    def test_pulse_train_rejects_infinity(self, field):
+        # an infinite repetition rate used to reach simulate and raise OverflowError
+        values = {"wavelength_nm": 1550.0, "repetition_rate_hz": 1e4, "mean_photons": 0.1}
+        with pytest.raises(ValueError, match=f"^{field} must be .* and finite, got inf$"):
+            CoherentPulseTrain(**{**values, field: math.inf})
+
     def test_pulse_train_takes_a_polarization_name_or_a_finite_angle(self):
         for bad in ("circular", math.inf):
             with pytest.raises(ValueError, match="^polarization must be a finite angle"):
@@ -161,6 +168,12 @@ class TestRangeRules:
     def test_power_reading_rejects_nan(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
             PowerReading(**{"mean_power_watts": 1e-9, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["mean_power_watts", "relative_uncertainty"])
+    def test_power_reading_rejects_infinity(self, field):
+        # an infinite power used to write "n_bar": Infinity to calibration.json
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got inf$"):
+            PowerReading(**{"mean_power_watts": 1e-9, field: math.inf})
 
 
 class TestCalibration:
@@ -185,3 +198,11 @@ class TestCalibration:
             calibrate_flux(PowerReading(1e-9), 0.0, (), 1550.0, 1e4)
         with pytest.raises(ValueError):
             calibrate_flux(PowerReading(1e-9), 1.0, (), 1550.0, 1e4)
+
+    @pytest.mark.parametrize("tap", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+    def test_tap_fraction_rule_names_the_parameter(self, tap):
+        for check in (lambda: check_tap_fraction(tap),
+                      lambda: calibrate_flux(PowerReading(1e-9), tap, (), 1550.0, 1e4)):
+            with pytest.raises(ValueError,
+                               match=rf"^tap_fraction must be in \(0, 1\), got {tap}$"):
+                check()

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -319,15 +320,37 @@ class TestThicknessGrid:
     @pytest.mark.parametrize("step", [0.0, -2.0, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError,
-                           match=f"^thickness grid step must be positive and finite, got {step}$"):
+                           match=f"^step_nm must be positive and finite, got {step}$"):
             thickness_grid(0.0, 400.0, step)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (400.0, 0.0), (-1.0, 400.0), (0.0, math.inf), (math.nan, 400.0), (0.0, math.nan),
+        (-math.inf, 0.0)])
+    def test_range_must_be_finite_nonnegative_and_ordered(self, lo, hi):
+        # thickness_grid(400, 0, 2) used to return array([0.])
+        message = f"range_nm must be [lo, hi] with 0 <= lo <= hi < inf, got [{lo}, {hi}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            thickness_grid(lo, hi, 2.0)
+        with pytest.raises(ValueError, match=f"^top_{re.escape(message)}$"):
+            tmm.check_grid(2.0, top_range_nm=(lo, hi), bottom_range_nm=(0.0, 400.0))
+
+    def test_check_grid_names_the_step_first(self):
+        with pytest.raises(ValueError, match="^step_nm must be positive and finite, got inf$"):
+            tmm.check_grid(math.inf, top_range_nm=(400.0, 0.0))
+        tmm.check_grid(2.0, top_range_nm=(5.0, 5.0), bottom_range_nm=(0.0, 400.0))
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("bounds", [(400.0, 0.0), (-1.0, 400.0), (0.0, math.inf)])
+    def test_bounds_are_thickness_grid_ranges(self, bounds):
+        for top, bottom in ((bounds, (0.0, 400.0)), ((0.0, 400.0), bounds)):
+            with pytest.raises(ValueError, match="^range_nm must be "):
+                optimize_thicknesses(default_stack(), top, bottom, 1550.0)
+
     @pytest.mark.parametrize("step", [-2.0, 0.0, math.nan])
     def test_coarse_step_must_be_positive_and_finite(self, step):
         # a -2 nm step used to return (400, 400) nm with A_BP 0.26, not the 0.53 optimum
-        with pytest.raises(ValueError, match="^thickness grid step must be positive"):
+        with pytest.raises(ValueError, match="^step_nm must be positive"):
             optimize_thicknesses(default_stack(), (0, 400), (0, 400), 1550.0,
                                  coarse_step_nm=step)
 
