@@ -143,12 +143,15 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _construct(block: str, make):
-    """Build a domain object; its ValueError, which names the field, becomes a ConfigError."""
+def _construct(block: str, make, **keys: str):
+    """Build a domain object; its ValueError, which names the field first,
+    becomes a ConfigError under the block's path and the field's config key:
+    `keys` maps a field to its key where the two differ."""
     try:
         return make()
     except ValueError as exc:
-        raise ConfigError(f"{block}.{exc}") from exc
+        field, space, rest = str(exc).partition(" ")
+        raise ConfigError(f"{block}.{keys.get(field, field)}{space}{rest}") from exc
 
 
 def validate_config(cfg: dict[str, Any]) -> None:
@@ -198,7 +201,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require(cal["power_tap_watts"] is None or _is_number(cal["power_tap_watts"]),
              "calibration.power_tap_watts", f"expected a number, got {cal['power_tap_watts']!r}")
     _construct("calibration",
-               lambda: PowerReading(cal["power_tap_watts"] or 0.0, cal["relative_uncertainty"]))
+               lambda: PowerReading(cal["power_tap_watts"] or 0.0, cal["relative_uncertainty"]),
+               mean_power_watts="power_tap_watts")
     _construct("calibration", lambda: check_tap_fraction(cal["tap_fraction"]))
     _require(isinstance(cal["post_tap_chain"], list), "calibration.post_tap_chain",
              "must be a list of stages")

@@ -172,7 +172,12 @@ def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
     acceptance whose dead time blocks the next candidate jumps to the first
     candidate at or past it by `bisect_left`: first inside a window twice
     as long as the previous jump, and over the rest of the array only when
-    the window ends before the dead time does. The arrays are read through
+    the window ends before the dead time does. An acceptance pushes its
+    release onto the heap of held slots only when its dwell exceeds
+    `dead_time_us`: a shorter dwell ends at or before t + dead_time_us
+    (rounded, as `end` is), the walk reads no candidate before that point,
+    and the release would be popped before the next candidate's check, so
+    every decision stays the same. The arrays are read through
     memoryviews, so each step handles Python floats, and the indices are
     collected in an `array("q")` that `np.frombuffer` reads without a copy.
     """
@@ -186,7 +191,8 @@ def _accept(times: np.ndarray, dwells: np.ndarray, dead_time_us: float,
             heapq.heappop(pending)
         if len(pending) < max_occupancy:
             kept.append(i)
-            heapq.heappush(pending, t + dv[i])
+            if dv[i] > dead_time_us:
+                heapq.heappush(pending, t + dv[i])
             end = t + dead_time_us
             i += 1
             if i < n and tv[i] < end:  # jump past the candidates the dead time blocks
@@ -222,7 +228,10 @@ def simulate(params: DetectorParams, source: CoherentPulseTrain, duration_s: flo
     rng = np.random.default_rng(seed)
     duration_us = duration_s * 1e6
     pulse_period_us = 1e6 / f
-    photon_times = np.sort(rng.integers(0, n_pulses, size=rng.poisson(mu * n_pulses)))
+    # Each pulse index sorted in the narrowest type that holds it: the same
+    # values in fewer bytes, so a quicker sort.
+    photon_times = np.sort(rng.integers(0, n_pulses, size=rng.poisson(mu * n_pulses))
+                           .astype(np.min_scalar_type(n_pulses)))
     photon_times = photon_times * pulse_period_us
 
     n_dark = rng.poisson(params.dark_rate_hz * duration_s)
@@ -304,8 +313,12 @@ def _mapped(file: BinaryIO, sample_rate_hz: float) -> TimeTrace:
 def check_trace(params: DetectorParams, duration_s: float, sample_rate_hz: float) -> int:
     """Sample count of a `synthesize_trace` trace; raises ValueError, before
     anything is allocated, for a duration or sample rate that is not positive
-    and finite, or a sample rate too slow for the edges."""
+    and finite, a product of the two that is not finite, or a sample rate
+    too slow for the edges."""
     check_positive(duration_s=duration_s, sample_rate_hz=sample_rate_hz)
+    if not math.isfinite(duration_s * sample_rate_hz):
+        raise ValueError(f"duration_s * sample_rate_hz must be finite, got "
+                         f"{duration_s:g} s * {sample_rate_hz:g} Hz")
     n = int(round(duration_s * sample_rate_hz))
     for edge in (params.fall_time_us, params.rise_time_us):
         need_hz = 10.0 / (edge * 1e-6) if edge > 0 else 0.0
@@ -438,6 +451,14 @@ def synthesize_trace(events: EventRecord, params: DetectorParams, duration_s: fl
 
 _HEADER = "timestamp_us,kind,origin"
 _KINDS = ("capture", "release")  # indexed by "is a release"
+_CSV_BLOCK_ROWS = 1 << 16  # rows formatted per write by `write_events_csv`
+# The text of a time is laid out in two-byte cells, right to left: two cells
+# of decimals from `_PAIRS`, its last whole digit and the point from
+# `_DIGIT_POINT`, then whole digits from `_PAIRS`; each table holds the cell
+# of every value below its size.
+_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
+_DIGIT_POINT = np.frombuffer("".join(f"{k}." for k in range(10)).encode(), dtype=np.uint16)
+_POW10 = 10 ** np.arange(5, 16, dtype=np.int64)  # q >= 10**k has more than k digits
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,14 +472,61 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
+def _csv_rows(times: np.ndarray, labels: np.ndarray, label_len: np.ndarray) -> np.ndarray:
+    """The bytes of the rows `"%.4f" % times[i]` followed by `labels[i]`, of
+    which `label_len[i]` are the row's and the rest pad it to an even width.
+
+    Each row is laid out in one line of a uint8 matrix: the time right-aligned
+    in the cells before the label, the digits of q = rint(times * 1e4) looked
+    up two at a time, then the label. A row's bytes are a slice of its line,
+    so one boolean mask, picked per row from a table of one mask per (time
+    width, label length), gathers all rows. "%.4f" rounds a time's exact
+    value, rint rounds times * 1e4 once it is rounded itself; the two can
+    disagree only where times * 1e4 lies within half an ulp of a half-way
+    point. A time within 4 ulp of one, a negative zero ("-0.0000") and a time
+    whose times * 1e4 >= 2**50, past the digits q holds, are formatted by %
+    and inserted whole.
+    """
+    x = np.minimum(times, 2.0 ** 50) * 1e4  # capped, so that no time overflows
+    q = np.rint(x)
+    by_percent = (0.5 - np.abs(x - q) <= 4 * np.spacing(x)) | np.signbit(times) | (x >= 2.0 ** 50)
+    q = np.where(by_percent, 0.0, q).astype(np.int64)
+    # each row's digits and point; 0 where % formats the row
+    width = np.where(by_percent, 0, 6 + np.searchsorted(_POW10, q, side="right"))
+    widest = max(6, int(width.max(initial=0)))
+    time_bytes = 6 + 2 * ((widest - 5) // 2)
+    line = np.empty((times.size, time_bytes + labels.itemsize), dtype=np.uint8)
+    cells = line[:, :time_bytes].view(np.uint16)
+    for k, table in enumerate([_PAIRS, _PAIRS, _DIGIT_POINT]
+                              + [_PAIRS] * (cells.shape[1] - 3), start=1):
+        rest = q // table.size
+        cells[:, -k] = table[q - table.size * rest]
+        q = rest
+    line[:, time_bytes:].view(labels.dtype)[:, 0] = labels
+    cols = np.arange(line.shape[1])
+    masks = ((cols >= time_bytes - np.arange(widest + 1)[:, None, None])
+             & (cols < time_bytes + np.arange(labels.itemsize + 1)[:, None]))
+    masks = masks.reshape(-1, cols.size).view(f"V{cols.size}")[:, 0]  # one item per mask
+    out = line.ravel()[masks[width * (labels.itemsize + 1) + label_len].view(bool)]
+    if by_percent.any():
+        rows = np.flatnonzero(by_percent)
+        text = [("%.4f" % t).encode() for t in times[rows].tolist()]
+        at = np.cumsum(width + label_len)[rows] - label_len[rows]
+        out = np.insert(out, np.repeat(at, [len(s) for s in text]),
+                        np.frombuffer(b"".join(text), dtype=np.uint8))
+    return out
+
+
 def write_events_csv(record: EventRecord, path: str | Path) -> None:
     """CSV rows `timestamp_us,kind,origin` merged in time order.
 
     At equal times captures come before releases, and rows of one kind keep
     the record's order. Each row's `,kind,origin\\n` label is picked from a
-    table of one label per (kind, origin) pair, and one % call formats
-    every row. An origin with a comma or a line break, which would split its
-    rows, raises before the file is created.
+    table of one label per (kind, origin) pair. The rows are formatted by
+    `_csv_rows`, to the bytes `"%.4f,%s,%s\\n"` gives them, and written in
+    blocks of `_CSV_BLOCK_ROWS`, so its scratch stays within a few MB
+    whatever the record's size. An origin with a comma or a line break,
+    which would split its rows, raises before the file is created.
     """
     n = record.n_captures
     origins = record.origins if record.origins is not None else np.full(n, "unknown")
@@ -469,14 +537,19 @@ def write_events_csv(record: EventRecord, path: str | Path) -> None:
             raise ValueError(f"{path}: origin {name!r} holds a comma or a line break")
     code = np.empty(n, dtype=np.intp)
     code[by_origin] = np.cumsum(first) - 1
-    labels = np.array([f",{kind},{name}\n" for kind in _KINDS for name in names], dtype=object)
+    labels = [f",{kind},{name}\n".encode() for kind in _KINDS for name in names]
+    label_len = np.array([len(label) for label in labels], dtype=np.intp)
+    size = int(label_len.max(initial=0))
+    labels = np.array(labels, dtype=f"S{size + size % 2}")  # zero-padded to an even width
     times = np.concatenate([record.capture_times_us, record.release_times_us])
+    label_of = np.concatenate([code, code + len(names)])
     order = np.argsort(times, kind="stable")  # captures hold the lower indices
-    cells = [None] * (4 * n)
-    cells[0::2] = times[order].tolist()
-    cells[1::2] = labels[np.concatenate([code, code + len(names)])[order]].tolist()
-    Path(path).write_text(f"{_HEADER}\n" + ("%.4f%s" * (2 * n)) % tuple(cells),
-                          encoding="utf-8")
+    with open(path, "wb") as f:
+        f.write(f"{_HEADER}\n".encode())
+        for lo in range(0, 2 * n, _CSV_BLOCK_ROWS):
+            rows = order[lo:lo + _CSV_BLOCK_ROWS]
+            label = label_of[rows]
+            f.write(_csv_rows(times[rows], labels[label], label_len[label]))
 
 
 def _data_lines(body: str) -> list[tuple[int, str]]:

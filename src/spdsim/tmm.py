@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check_memory, check_positive
+from . import check_memory, check_nonnegative, check_positive
 from .materials import AIR, MaterialDispersion, Polarization, index_at
 
 STEP_NM = 2.0  # the spacer grid step of a thickness map, and optimize's coarse step
@@ -50,9 +50,10 @@ class Layer:
     thickness_nm: float
 
     def __post_init__(self):
-        if not self.thickness_nm >= 0:  # written so that NaN fails
-            raise ValueError(
-                f"layer '{self.material.name}': thickness must be >= 0, got {self.thickness_nm}")
+        try:
+            check_nonnegative(thickness_nm=self.thickness_nm)
+        except ValueError as exc:
+            raise ValueError(f"layer '{self.material.name}': {exc}") from None
 
 
 @dataclass(frozen=True)

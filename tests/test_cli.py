@@ -184,8 +184,10 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(overrides={"detector": {"iqe": 1.5}})
         assert str(exc.value) == "detector.iqe must be within [0, 1], got 1.5"
-        with pytest.raises(ConfigError, match=r"^calibration\.mean_power_watts must be "):
-            load_config(overrides={"calibration": {"power_tap_watts": -1e-9}})
+        # the PowerReading field is mean_power_watts; the error names the config's key
+        for power in (-1e-9, math.inf):
+            with pytest.raises(ConfigError, match=r"^calibration\.power_tap_watts must be "):
+                load_config(overrides={"calibration": {"power_tap_watts": power}})
         with pytest.raises(ConfigError, match=r"post_tap_chain\[1\]\.attenuator\.transmittance"):
             load_config(overrides={"calibration": {"post_tap_chain": [{"fiber": None},
                                                                       {"attenuator": 0.0}]}})
@@ -313,6 +315,17 @@ class TestMovedRules:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {block}.{key} must be ") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+
+    def test_sample_count_beyond_a_float_is_a_simulate_rule(self, tmp_path, capsys):
+        # each value is finite, their product is not: simulate used to exit 1 with
+        # an OverflowError traceback
+        cfg = write_cfg(tmp_path, {"run": {key: 1.0e200 for key in (
+            "duration_s", "trace_duration_s", "sample_rate_hz")}})
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_s * sample_rate_hz must be finite") and \
+            err.count("\n") == 1, err
+        assert not (tmp_path / "s").exists()
 
     def test_sample_rate_against_the_edges_is_a_simulate_rule(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"run": {"sample_rate_hz": 1e3}})
@@ -482,7 +495,7 @@ class TestCliSource:
         cfg = write_cfg(tmp_path, {"calibration": {"power_tap_watts": math.inf}})
         assert run_cli("source", "calibrate", "--config", cfg, "--out", tmp_path / "c") == 2
         assert capsys.readouterr().err == (
-            "error: calibration.mean_power_watts must be nonnegative and finite, got inf\n")
+            "error: calibration.power_tap_watts must be nonnegative and finite, got inf\n")
         assert not (tmp_path / "c").exists()
 
     def test_n_bar_beyond_a_float_is_not_written(self, tmp_path, capsys):

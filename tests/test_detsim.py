@@ -249,12 +249,22 @@ class TestSimulate:
             simulate(DetectorParams(), train(1.0, f=1e9), 1e4, seed=0)
 
 
+def dwells_at(dead_time_us):
+    """Dwells at the dead time, one ulp under it, one ulp over it, or up to
+    twice it: a later candidate may then fall at t + dead time or between that
+    and t + dwell, where only a release on the walk's heap blocks it."""
+    return st.one_of(st.sampled_from([dead_time_us, math.nextafter(dead_time_us, 0.0),
+                                      math.nextafter(dead_time_us, math.inf)]),
+                     st.floats(dead_time_us, 2 * dead_time_us))
+
+
 @st.composite
-def candidate_sets(draw):
-    """Sorted candidate times on a coarse grid (so ties occur) and their dwells."""
+def candidate_sets(draw, dead_time_us):
+    """Sorted candidate times on a coarse grid (so ties occur) and their
+    dwells, some of them `dwells_at` the dead time."""
     ticks = sorted(draw(st.lists(st.integers(0, 120), max_size=60)))
-    dwells = draw(st.lists(st.floats(0.0, 40.0), min_size=len(ticks),
-                           max_size=len(ticks)))
+    dwells = draw(st.lists(st.one_of(st.floats(0.0, 40.0), dwells_at(dead_time_us)),
+                           min_size=len(ticks), max_size=len(ticks)))
     return np.array(ticks) * 0.5, np.array(dwells, dtype=float)
 
 
@@ -275,14 +285,35 @@ def candidate_bursts(draw):
     return ticks * 0.5, dwells
 
 
+@st.composite
+def dead_time_chains(draw, dead_time_us):
+    """A chain of candidates, each at t + dead time of the one before it (as
+    the walk rounds the sum) or between that and t + its dwell, every dwell
+    one of `dwells_at` the dead time."""
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    times, dwells = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        times.append(t)
+        dwells.append(draw(dwells_at(dead_time_us)))
+        t = draw(st.one_of(st.just(t + dead_time_us),
+                           st.floats(t + dead_time_us, max(t + dead_time_us, t + dwells[-1]))))
+    return np.array(times), np.array(dwells)
+
+
+@st.composite
+def walk_cases(draw):
+    """(candidate times, dwells, dead time), the dead time drawn first."""
+    dead_time_us = draw(st.one_of(st.just(0.0), st.integers(0, 100).map(lambda k: 0.5 * k),
+                                  st.floats(0.0, 50.0)))
+    return (*draw(st.one_of(candidate_sets(dead_time_us), candidate_bursts(),
+                            dead_time_chains(dead_time_us))), dead_time_us)
+
+
 class TestAcceptWalk:
     @settings(max_examples=600, deadline=None)
-    @given(st.one_of(candidate_sets(), candidate_bursts()),
-           st.one_of(st.just(0.0), st.integers(0, 100).map(lambda k: 0.5 * k),
-                     st.floats(0.0, 50.0)),
-           st.one_of(st.integers(1, 5), st.just(1000), st.just(math.inf)))
-    def test_matches_per_candidate_loop(self, candidates, dead_time_us, max_occupancy):
-        times, dwells = candidates
+    @given(walk_cases(), st.one_of(st.integers(1, 5), st.just(1000), st.just(math.inf)))
+    def test_matches_per_candidate_loop(self, case, max_occupancy):
+        times, dwells, dead_time_us = case
         assert (list(detsim._accept(times, dwells, dead_time_us, max_occupancy))
                 == accept_loop(times, dwells, dead_time_us, max_occupancy))
         zeros = np.zeros(times.size)
@@ -290,17 +321,32 @@ class TestAcceptWalk:
                 == accept_loop(times, zeros, dead_time_us, 1))
 
 
+# Times whose "%.4f" the writer's digit table does not give alone: any time up
+# to 1e11 us, or up to the largest float; odd multiples of 1/32, exact ties
+# of the fourth decimal (0.03125 -> 0.0312); k * 1e-4 + 5e-5 and the floats
+# on either side of it; and -0.0 ("-0.0000") beside 0.0.
+EDGE_TIMES = st.one_of(
+    st.floats(0.0, 1e11),
+    st.floats(0.0, sys.float_info.max),
+    st.integers(0, 2**30).map(lambda k: (2 * k + 1) / 32),
+    st.integers(0, 10**9).map(lambda k: k * 1e-4 + 5e-5).flatmap(lambda t: st.sampled_from(
+        [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)])),
+    st.sampled_from([-0.0, 0.0]))
+
+
 @st.composite
 def event_records(draw, names=("photon", "dark")):
-    """Captures on a coarse grid with dwells often 0 or on the grid, so captures
-    tie with captures and with releases; origins mixed from `names`, or None."""
-    ticks = sorted(draw(st.lists(st.integers(0, 40), max_size=40)))
+    """Captures on a coarse grid, or at `EDGE_TIMES`, with dwells often 0
+    (also -0.0) or on the grid, so captures tie with captures and with
+    releases; origins mixed from `names`, or None."""
+    captures = sorted(draw(st.lists(st.one_of(st.integers(0, 40).map(lambda k: 0.5 * k),
+                                              EDGE_TIMES), max_size=40)))
     dwells = draw(st.lists(st.one_of(st.integers(0, 10).map(lambda k: 0.5 * k),
-                                     st.floats(0.0, 20.0)),
-                           min_size=len(ticks), max_size=len(ticks)))
-    origins = draw(st.one_of(st.none(), st.lists(st.sampled_from(names),
-                                                 min_size=len(ticks), max_size=len(ticks))))
-    captures = 0.5 * np.array(ticks, dtype=float)
+                                     st.floats(0.0, 20.0), st.just(-0.0)),
+                           min_size=len(captures), max_size=len(captures)))
+    origins = draw(st.one_of(st.none(), st.lists(st.sampled_from(names), min_size=len(captures),
+                                                 max_size=len(captures))))
+    captures = np.array(captures, dtype=float)
     return EventRecord(captures, captures + np.array(dwells, dtype=float), origins)
 
 
@@ -570,11 +616,12 @@ class TestArrayFormsMatchLoops:
     """The array writer and renderer give the bytes of their per-row oracles."""
 
     @settings(max_examples=300, deadline=None)
-    @given(event_records())
-    def test_events_csv_bytes(self, record):
+    @given(event_records(), st.sampled_from([1, 2, 7, detsim._CSV_BLOCK_ROWS]))
+    def test_events_csv_bytes(self, record, block):
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-            write_events_csv(record, got)
+            with mock.patch.object(detsim, "_CSV_BLOCK_ROWS", block):
+                write_events_csv(record, got)
             write_events_csv_rows(record, want)
             assert got.read_bytes() == want.read_bytes()
 
@@ -699,6 +746,12 @@ class TestSynthesizeTrace:
         # check_trace(params, inf, 1e7) used to raise OverflowError
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
             detsim.check_trace(DetectorParams(), duration_s, sample_rate_hz)
+
+    def test_check_trace_refuses_a_sample_count_beyond_a_float(self):
+        # int(round(inf)) used to raise OverflowError
+        with pytest.raises(ValueError, match=r"^duration_s \* sample_rate_hz must be finite, "
+                                             r"got 1e\+200 s \* 1e\+200 Hz$"):
+            detsim.check_trace(DetectorParams(), 1e200, 1e200)
 
     def test_length_matches_duration(self):
         params = DetectorParams()

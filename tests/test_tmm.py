@@ -64,9 +64,12 @@ class TestCharacteristicMatrix:
         with pytest.raises(ValueError):
             Layer(const("a", 2.0), -1.0)
 
-    def test_nan_thickness_rejected(self):
-        with pytest.raises(ValueError, match="^layer 'hbn': thickness must be >= 0, got nan$"):
-            Layer(materials.bundled("hbn"), float("nan"))
+    @pytest.mark.parametrize("thickness", [math.nan, math.inf])
+    def test_nonfinite_thickness_rejected(self, thickness):
+        # Layer(material, inf) used to construct, and stack_response then failed
+        with pytest.raises(ValueError, match=f"^layer 'hbn': thickness_nm must be nonnegative "
+                                             f"and finite, got {thickness}$"):
+            Layer(materials.bundled("hbn"), thickness)
 
 
 class TestStackResponse:
